@@ -111,11 +111,13 @@ def report_from_scores(scores, labels) -> EvalReport:
 
 
 def _eval_threads() -> int:
+    """CAST_THREADS, clamped to [1, cpu count]; 1 when unset or malformed."""
     raw = os.environ.get("CAST_THREADS", "1")
     try:
-        return max(1, int(raw))
+        wanted = int(raw)
     except ValueError:
         return 1
+    return max(1, min(wanted, os.cpu_count() or 1))
 
 
 def evaluate(checkpoint_path, manifest_path,
@@ -134,12 +136,12 @@ def evaluate(checkpoint_path, manifest_path,
     test_rows = [r for r in records if r.split == "test"]
     chosen = test_rows or records
 
-    from .train import clip_score  # local import to avoid a module cycle
+    from .train import clip_scores  # local import to avoid a module cycle
 
     def score_one(rec):
         clip = read_clip(os.path.join(base, rec.path))
         out = M.forward(clip, params, cfg, mode="eval")
-        return clip_score(out, mode)
+        return float(clip_scores(out, mode)[0])
 
     with T.no_grad():
         workers = _eval_threads()

@@ -8,6 +8,10 @@ encoder. Cross-attention then lets each encoded temporal token attend over
 the time-averaged spatial tokens (queries from time, keys/values from
 space), followed by residual add + layer norm, mean pooling, and a linear
 classifier. Every ablation variant is a runtime configuration choice.
+
+forward() takes a batch of clips. The backbone, the tokens and the
+spatial mean run per clip; from the encoder on, every stage runs once over
+the stacked batch, with a leading batch axis on every token tensor.
 """
 
 from __future__ import annotations
@@ -231,6 +235,8 @@ class CastParams:
 
 @dataclass
 class ModelOutput:
+    """Per-clip shapes below; a batched forward adds a leading (B,) axis,
+    except that clip_logit is then (B,)."""
     clip_logit: Tensor         # (1,)
     frame_logits: Tensor       # (clip_len,)
     fused_tokens: Tensor       # (clip_len, d)
@@ -299,7 +305,7 @@ def init_cast_params(cfg: CastConfig, seed: int) -> CastParams:
 
 
 def _linear_rows(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """(n, c) @ (d, c)^T + (d,) -> (n, d)."""
+    """(..., n, c) @ (d, c)^T + (d,) -> (..., n, d)."""
     return T.add(T.matmul(x, T.transpose(weight)), bias)
 
 
@@ -345,9 +351,10 @@ def temporal_tokens(fmaps: Tensor, proj: Optional[PointwiseProj]) -> Tensor:
 
 def encode_temporal(t_seq: Tensor, pos_embed: Tensor,
                     layers: list[EncoderLayerParams], drop_rate: float,
-                    mode: str, seed: int) -> Tensor:
-    """Add positional embeddings, then pre-norm transformer encoder layers."""
-    if t_seq.shape != pos_embed.shape:
+                    mode: str, seed) -> Tensor:
+    """Add positional embeddings, then pre-norm transformer encoder layers.
+    t_seq is (F, d) with an int seed, or (B, F, d) with one seed per clip."""
+    if t_seq.shape[-2:] != pos_embed.shape:
         raise ConfigError(f"positional embeddings {pos_embed.shape} do not match "
                           f"token sequence {t_seq.shape}")
     x = T.add(t_seq, pos_embed)
@@ -369,9 +376,10 @@ def spatial_mean(s: Tensor) -> Tensor:
 
 
 def cross_attention_core(z: Tensor, s_mean: Tensor, fusion: FusionParams,
-                         drop_rate: float, mode: str, seed: int) -> tuple[Tensor, Tensor]:
+                         drop_rate: float, mode: str, seed) -> tuple[Tensor, Tensor]:
     """Multi-head cross-attention before the residual: queries from z,
-    keys/values from s_mean. Returns (z_hat, head-averaged attention)."""
+    keys/values from s_mean, both (..., n, d) with the same leading axes.
+    Returns (z_hat, head-averaged attention)."""
     outs, attns = [], []
     for i, head in enumerate(fusion.heads):
         q = T.matmul(z, head.wq)
@@ -381,7 +389,7 @@ def cross_attention_core(z: Tensor, s_mean: Tensor, fusion: FusionParams,
                                             derive_seed(seed, "fusion_head", i))
         outs.append(out)
         attns.append(attn)
-    cat = outs[0] if len(outs) == 1 else T.concat(outs, axis=1)
+    cat = outs[0] if len(outs) == 1 else T.concat(outs, axis=-1)
     z_hat = T.add(T.matmul(cat, fusion.out_proj), fusion.out_bias)
     avg = attns[0]
     if len(attns) > 1:
@@ -393,7 +401,7 @@ def cross_attention_core(z: Tensor, s_mean: Tensor, fusion: FusionParams,
 
 def cross_attention_fuse(z: Tensor, s_mean: Tensor, fusion: FusionParams,
                          variant: str, drop_rate: float, mode: str,
-                         seed: int) -> tuple[Tensor, Optional[Tensor]]:
+                         seed) -> tuple[Tensor, Optional[Tensor]]:
     """Fusion stage for the cross-attention variants.
 
     full / multi_scale / no_projection: temporal queries over spatial
@@ -411,8 +419,8 @@ def cross_attention_fuse(z: Tensor, s_mean: Tensor, fusion: FusionParams,
                                                  mode, seed)
         z_hat_s = nn.dropout(z_hat_s, drop_rate, mode, derive_seed(seed, "fusion_out"))
         z_hat = T.matmul(T.transpose(attn_avg), z_hat_s)
-        at = attn_avg.data.T
-        report = Tensor(at / at.sum(axis=1, keepdims=True))
+        at = attn_avg.data.swapaxes(-1, -2)
+        report = Tensor(at / at.sum(axis=-1, keepdims=True))
     else:
         z_hat, attn_avg = cross_attention_core(z, s_mean, fusion, drop_rate,
                                                mode, seed)
@@ -423,13 +431,13 @@ def cross_attention_fuse(z: Tensor, s_mean: Tensor, fusion: FusionParams,
 
 
 def decoupled_fuse(z: Tensor, s_mean: Tensor, p: DecoupledParams,
-                   mode: str, seed: int) -> Tensor:
+                   mode: str, seed) -> Tensor:
     """Ablation: independent self-attention per stream, spatial side mean
     pooled and concatenated to every temporal row, linear back to d."""
     za = nn.mhsa(z, p.temporal, mode, derive_seed(seed, "dec_t"))
     sa = nn.mhsa(s_mean, p.spatial, mode, derive_seed(seed, "dec_s"))
-    s_pool = T.mean_axis0(sa)
-    cat = T.concat([za, T.repeat_rows(s_pool, z.shape[0])], axis=1)
+    s_pool = T.mean_axis0(sa, axis=-2)
+    cat = T.concat([za, T.repeat_rows(s_pool, z.shape[-2])], axis=-1)
     return _linear_rows(cat, p.mix_w, p.mix_b)
 
 
@@ -447,48 +455,81 @@ def multi_scale_tokens(stages: list[Tensor], proj: PointwiseProj) -> Tensor:
 
 def classify(fused: Tensor, weight: Tensor, bias: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     """Mean-pool fused tokens, then one linear logit; per-frame logits come
-    from the same affine map, so their mean equals the clip logit."""
-    n, d = fused.shape
-    pooled = T.mean_axis0(fused)
-    clip_logit = T.reshape(_linear_rows(T.reshape(pooled, (1, d)), weight, bias), (1,))
-    frame_logits = T.reshape(_linear_rows(fused, weight, bias), (n,))
+    from the same affine map, so their mean equals the clip logit.
+
+    fused (n, d) gives logits (1,) and (n,); fused (B, n, d) gives (B,) and
+    (B, n).
+    """
+    n, d = fused.shape[-2:]
+    lead = fused.shape[:-2]
+    pooled = T.mean_axis0(fused, axis=-2)
+    rows = pooled if lead else T.reshape(pooled, (1, d))
+    clip_logit = T.reshape(_linear_rows(rows, weight, bias), (rows.shape[0],))
+    frame_logits = T.reshape(_linear_rows(fused, weight, bias), lead + (n,))
     return clip_logit, frame_logits, pooled
 
 
-def forward(clip: FrameClip, params: CastParams, cfg: CastConfig,
-            mode: str = "eval", seed: int = 0) -> ModelOutput:
-    """Full per-clip forward pass. mode 'eval' disables all dropout; mode
-    'train' uses seed to derive deterministic per-site dropout masks."""
+def forward(clips, params: CastParams, cfg: CastConfig,
+            mode: str = "eval", seed=0) -> ModelOutput:
+    """Forward pass over a batch of clips.
+
+    clips is a list of equally shaped FrameClips, and seed one int per clip
+    (an int is used for every clip). Outputs carry a leading batch axis. A
+    lone FrameClip is a batch of one whose outputs have the per-clip shapes
+    of ModelOutput. mode 'eval' disables all dropout; mode 'train' derives
+    clip b's dropout masks from seed[b], so each clip's outputs equal those
+    of a forward over that clip alone.
+    """
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown mode {mode!r}")
-    if clip.clip_len != cfg.clip_len:
-        raise ConfigError(f"clip has {clip.clip_len} frames, config wants {cfg.clip_len}")
+    single = isinstance(clips, FrameClip)
+    batch = [clips] if single else list(clips)
+    if not batch:
+        raise ConfigError("forward needs at least one clip")
+    seeds = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,) * len(batch)
+    if len(seeds) != len(batch):
+        raise ConfigError(f"{len(seeds)} seeds for {len(batch)} clips")
+    first = batch[0]
+    if first.clip_len != cfg.clip_len:
+        raise ConfigError(f"clip has {first.clip_len} frames, config wants {cfg.clip_len}")
     f = cfg.downsample_factor
-    if clip.height % f or clip.width % f:
-        raise ConfigError(f"frame dims {clip.height}x{clip.width} not divisible "
+    if first.height % f or first.width % f:
+        raise ConfigError(f"frame dims {first.height}x{first.width} not divisible "
                           f"by backbone factor {f}")
-    stages = backbone_stages(clip.frames, params.backbone)
-    fmaps = stages[-1]
+    for clip in batch[1:]:
+        if clip.frames.shape != first.frames.shape:
+            raise ConfigError(f"clip shapes differ within a batch: "
+                              f"{clip.frames.shape} vs {first.frames.shape}")
 
-    t_seq = temporal_tokens(fmaps, params.temporal_proj)
-    z = encode_temporal(t_seq, params.pos_embed, params.encoder, cfg.dropout,
-                        mode, derive_seed(seed, "encoder"))
+    # per clip: backbone, temporal tokens and the spatial mean
+    t_seqs, s_means = [], []
+    for clip in batch:
+        stages = backbone_stages(clip.frames, params.backbone)
+        t_seqs.append(temporal_tokens(stages[-1], params.temporal_proj))
+        if cfg.variant == "multi_scale":
+            s_means.append(spatial_mean(multi_scale_tokens(stages, params.multi_scale_proj)))
+        elif cfg.variant != "no_cross_attention":
+            s_means.append(spatial_mean(spatial_tokens(stages[-1], params.spatial_proj)))
+
+    # per batch: everything from the encoder on
+    z = encode_temporal(T.stack(t_seqs), params.pos_embed, params.encoder,
+                        cfg.dropout, mode, derive_seed(seeds, "encoder"))
+    s_mean = T.stack(s_means) if s_means else None
 
     attention = None
     if cfg.variant == "no_cross_attention":
         fused = z
     elif cfg.variant == "decoupled_self_attention":
-        s_mean = spatial_mean(spatial_tokens(fmaps, params.spatial_proj))
         fused = decoupled_fuse(z, s_mean, params.decoupled, mode,
-                               derive_seed(seed, "fusion"))
+                               derive_seed(seeds, "fusion"))
     else:
-        if cfg.variant == "multi_scale":
-            s_mean = T.mean_axis0(multi_scale_tokens(stages, params.multi_scale_proj))
-        else:
-            s_mean = spatial_mean(spatial_tokens(fmaps, params.spatial_proj))
         fused, attention = cross_attention_fuse(z, s_mean, params.fusion,
                                                 cfg.variant, cfg.dropout, mode,
-                                                derive_seed(seed, "fusion"))
+                                                derive_seed(seeds, "fusion"))
+    if single:
+        fused = T.reshape(fused, fused.shape[1:])
+        if attention is not None:
+            attention = Tensor(attention.data[0])
 
     clip_logit, frame_logits, pooled = classify(fused, params.classifier_w,
                                                 params.classifier_b)
@@ -520,6 +561,13 @@ def save_checkpoint(path, cfg: CastConfig, params: CastParams) -> None:
     os.replace(tmp, path)
 
 
+def _utf8(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"checkpoint {what} is not valid UTF-8: {e}") from None
+
+
 def load_checkpoint(path) -> tuple[CastConfig, CastParams]:
     """Load and validate a checkpoint. Shapes are checked against a skeleton
     built from the embedded config; any mismatch raises CheckpointError."""
@@ -534,7 +582,7 @@ def load_checkpoint(path) -> tuple[CastConfig, CastParams]:
     off = 14
     if len(buf) < off + cfg_len:
         raise FormatError("truncated checkpoint config block")
-    cfg = CastConfig.from_text(buf[off:off + cfg_len].decode("utf-8"))
+    cfg = CastConfig.from_text(_utf8(buf[off:off + cfg_len], "config block"))
     off += cfg_len
 
     loaded: dict[str, Tensor] = {}
@@ -545,8 +593,10 @@ def load_checkpoint(path) -> tuple[CastConfig, CastParams]:
         off += 2
         if len(buf) < off + name_len:
             raise FormatError("truncated checkpoint entry name")
-        name = buf[off:off + name_len].decode("utf-8")
+        name = _utf8(buf[off:off + name_len], "entry name")
         off += name_len
+        if name in loaded:
+            raise FormatError(f"duplicate checkpoint entry {name!r}")
         tensor, off = tensor_from_bytes(buf, off)
         loaded[name] = tensor
 

@@ -88,10 +88,14 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     if not batched:
         out = out[0]
 
+    need_gx = x.requires_grad
+
     def bwd(g):
         gm = (g if batched else g[None]).transpose(0, 2, 3, 1).reshape(-1, out_ch)
         gbias = gm.sum(axis=0)
         gkernel = (gm.T @ cols).reshape(p.kernel.shape)
+        if not need_gx:  # e.g. the clip frames at stage 0
+            return None, gkernel, gbias
         gcols = gm @ kmat  # (n*h_out*w_out, c*kh*kw)
         gcols = gcols.reshape(n, h_out, w_out, c, kh, kw)
         gxpad = np.zeros((n, c, hp, wp), dtype=g.dtype)
@@ -173,56 +177,73 @@ def global_avg_pool(fm: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
-    """Row-wise normalization to zero mean and unit (biased) variance,
-    then scale by gamma and shift by beta. eps sits inside the sqrt."""
-    if x.ndim != 2:
-        raise ShapeMismatch(f"layer_norm expects (n,d), got {x.shape}")
+    """Normalization of each row (last axis) to zero mean and unit (biased)
+    variance, then scale by gamma and shift by beta. eps sits inside the
+    sqrt. Leading axes are rows too: (..., n, d)."""
+    if x.ndim < 2:
+        raise ShapeMismatch(f"layer_norm expects (..., n, d), got {x.shape}")
     xd = x.data
-    mu = xd.mean(axis=1, keepdims=True)
-    var = ((xd - mu) ** 2).mean(axis=1, keepdims=True)
+    mu = xd.mean(axis=-1, keepdims=True)
+    var = ((xd - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + p.eps)
     xhat = (xd - mu) * inv
     out = p.gamma.data * xhat + p.beta.data
+    rows = tuple(range(x.ndim - 1))
 
     def bwd(g):
-        dgamma = (g * xhat).sum(axis=0)
-        dbeta = g.sum(axis=0)
+        dgamma = (g * xhat).sum(axis=rows)
+        dbeta = g.sum(axis=rows)
         dxhat = g * p.gamma.data
         dx = inv * (dxhat
-                    - dxhat.mean(axis=1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
+                    - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         return dx, dgamma, dbeta
 
     return apply_op("layer_norm", out, (x, p.gamma, p.beta), bwd)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row softmax with per-row max subtraction for stability."""
-    if x.ndim != 2:
-        raise ShapeMismatch(f"softmax_rows expects (n,m), got {x.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
+    """Softmax over the last axis with per-row max subtraction for
+    stability; leading axes are rows too: (..., n, m)."""
+    if x.ndim < 2:
+        raise ShapeMismatch(f"softmax_rows expects (..., n, m), got {x.shape}")
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    out = e / e.sum(axis=1, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        return (out * (g - (g * out).sum(axis=1, keepdims=True)),)
+        return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
 
     return apply_op("softmax_rows", out, (x,), bwd)
 
 
-def dropout(x: Tensor, rate: float, mode: str, seed: int = 0) -> Tensor:
+def dropout(x: Tensor, rate: float, mode: str, seed=0) -> Tensor:
     """Inverted dropout: zero with probability rate, scale survivors by
-    1/(1-rate). Eval mode is the identity. Deterministic per seed."""
+    1/(1-rate). Eval mode is the identity. Deterministic per seed.
+
+    seed is one int, or one int per index of x's leading (batch) axis; then
+    entry b's mask is drawn from seed[b] at shape x.shape[1:], exactly the
+    mask that entry alone would get from that seed.
+    """
     if not (0.0 <= rate < 1.0):
         raise InvalidRate(f"dropout rate must be in [0, 1), got {rate}")
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown dropout mode '{mode}'")
     if mode == "eval" or rate == 0.0:
         return x
-    rng = np.random.Generator(np.random.PCG64(seed))
-    keep = rng.random(x.shape) >= rate
+    if isinstance(seed, (tuple, list)):
+        if len(seed) != x.shape[0]:
+            raise ShapeMismatch(f"{len(seed)} dropout seeds for a batch of {x.shape[0]}")
+        keep = np.stack([_keep_mask(s, x.shape[1:], rate) for s in seed])
+    else:
+        keep = _keep_mask(seed, x.shape, rate)
     factor = keep * (1.0 / (1.0 - rate))
     return apply_op("dropout", x.data * factor, (x,), lambda g: (g * factor,))
+
+
+def _keep_mask(seed: int, shape, rate: float) -> np.ndarray:
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return rng.random(shape) >= rate
 
 
 # ---------------------------------------------------------------------------
@@ -230,24 +251,26 @@ def dropout(x: Tensor, rate: float, mode: str, seed: int = 0) -> Tensor:
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, drop_rate: float,
-                         mode: str, seed: int) -> tuple[Tensor, Tensor]:
-    """Single-head attention: softmax(q k^T / sqrt(d_h)) v.
+                         mode: str, seed) -> tuple[Tensor, Tensor]:
+    """Single-head attention: softmax(q k^T / sqrt(d_h)) v over the last two
+    axes; leading axes are a batch.
 
     Returns (output, attention weights before dropout).
     """
-    d_h = q.shape[1]
+    d_h = q.shape[-1]
     scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d_h))
     attn = softmax_rows(scores)
     attn_used = dropout(attn, drop_rate, mode, seed) if drop_rate else attn
     return T.matmul(attn_used, v), attn
 
 
-def mhsa(x: Tensor, p: MhsaParams, mode: str = "eval", seed: int = 0) -> Tensor:
+def mhsa(x: Tensor, p: MhsaParams, mode: str = "eval", seed=0) -> Tensor:
     """Multi-head self-attention with per-head projections, concatenation,
-    and an output projection. Dropout is applied to attention weights."""
-    if x.ndim != 2:
-        raise ShapeMismatch(f"mhsa expects (n,d), got {x.shape}")
-    d = x.shape[1]
+    and an output projection over (..., n, d). Dropout is applied to
+    attention weights."""
+    if x.ndim < 2:
+        raise ShapeMismatch(f"mhsa expects (..., n, d), got {x.shape}")
+    d = x.shape[-1]
     n_heads = len(p.heads)
     if n_heads == 0 or d % n_heads != 0:
         raise ConfigError(f"token dim {d} not divisible by {n_heads} heads")
@@ -259,7 +282,7 @@ def mhsa(x: Tensor, p: MhsaParams, mode: str = "eval", seed: int = 0) -> Tensor:
         out, _ = scaled_dot_attention(q, k, v, p.dropout, mode,
                                       derive_seed(seed, "mhsa_head", i))
         outs.append(out)
-    cat = outs[0] if n_heads == 1 else T.concat(outs, axis=1)
+    cat = outs[0] if n_heads == 1 else T.concat(outs, axis=-1)
     return T.matmul(cat, p.out_proj)
 
 

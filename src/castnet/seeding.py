@@ -22,8 +22,14 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def derive_seed(base: int, *tokens) -> int:
-    """Mix a base seed with string/int tokens into a new 64-bit seed."""
+def derive_seed(base, *tokens):
+    """Mix a base seed with string/int tokens into a new 64-bit seed.
+
+    A tuple or list of base seeds (one per clip of a batch) gives the tuple
+    of their derived seeds.
+    """
+    if isinstance(base, (tuple, list)):
+        return tuple(derive_seed(b, *tokens) for b in base)
     h = _splitmix64(base & _MASK)
     for tok in tokens:
         part = tok & _MASK if isinstance(tok, int) else _fnv1a(str(tok))

@@ -284,69 +284,88 @@ def gaussian(shape, mu: float, sd: float, seed: int, requires_grad=False, dtype=
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatch(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """(..., n, k) @ (..., k, m) -> (..., n, m).
+
+    b either has a's leading axes or is a 2-D matrix shared by every
+    leading index; a shared matrix costs one (N*n, k) x (k, m) product.
+    """
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeMismatch(f"matmul needs operands of rank >= 2, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch(f"inner dimensions differ: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
+    if b.ndim == 2:
+        k, m = bd.shape
+        a2 = ad.reshape(-1, k)
+        out = (a2 @ bd).reshape(a.shape[:-1] + (m,))
 
-    def bwd(g):
-        return g @ bd.T, ad.T @ g
+        def bwd(g):
+            g2 = g.reshape(-1, m)
+            return (g2 @ bd.T).reshape(a.shape), a2.T @ g2
+    else:
+        if a.shape[:-2] != b.shape[:-2]:
+            raise ShapeMismatch(f"leading axes differ: {a.shape} x {b.shape}")
+        out = ad @ bd
 
-    return apply_op("matmul", ad @ bd, (a, b), bwd)
+        def bwd(g):
+            return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
+
+    return apply_op("matmul", out, (a, b), bwd)
 
 
 def _binary_plan(a: Tensor, b: Tensor):
-    """Classify a binary op: 'same' shapes, or trailing vector broadcast.
+    """Classify a binary op: 'same' shapes, or trailing broadcast.
 
-    Broadcasting is deliberately restricted: a 1-D vector may broadcast
-    against the last axis of a higher-rank operand, nothing else.
-    Returns (mode, vec_side) where vec_side is 0/1 for the vector operand.
+    Broadcasting is deliberately restricted: a lower-rank operand may
+    broadcast over the leading axes of the other when its shape equals the
+    other's trailing shape, nothing else. Returns (mode, side) where side
+    is 0/1 for the broadcast operand.
     """
     if a.shape == b.shape:
         return "same", None
-    if b.ndim == 1 and a.ndim >= 2 and a.shape[-1] == b.shape[0]:
+    if b.ndim < a.ndim and a.shape[a.ndim - b.ndim:] == b.shape:
         return "broadcast", 1
-    if a.ndim == 1 and b.ndim >= 2 and b.shape[-1] == a.shape[0]:
+    if a.ndim < b.ndim and b.shape[b.ndim - a.ndim:] == a.shape:
         return "broadcast", 0
     raise ShapeMismatch(f"incompatible shapes for elementwise op: {a.shape} vs {b.shape}")
 
 
-def _reduce_to_vector(g: np.ndarray) -> np.ndarray:
-    return g.sum(axis=tuple(range(g.ndim - 1)))
+def _reduce_to(g: np.ndarray, ndim: int) -> np.ndarray:
+    """Sum g over its leading axes down to its trailing ndim axes."""
+    return g.sum(axis=tuple(range(g.ndim - ndim)))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    mode, vec = _binary_plan(a, b)
+    mode, side = _binary_plan(a, b)
     if mode == "same":
         bwd = lambda g: (g, g)
-    elif vec == 1:
-        bwd = lambda g: (g, _reduce_to_vector(g))
+    elif side == 1:
+        bwd = lambda g: (g, _reduce_to(g, b.ndim))
     else:
-        bwd = lambda g: (_reduce_to_vector(g), g)
+        bwd = lambda g: (_reduce_to(g, a.ndim), g)
     return apply_op("add", a.data + b.data, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    mode, vec = _binary_plan(a, b)
+    mode, side = _binary_plan(a, b)
     if mode == "same":
         bwd = lambda g: (g, -g)
-    elif vec == 1:
-        bwd = lambda g: (g, -_reduce_to_vector(g))
+    elif side == 1:
+        bwd = lambda g: (g, -_reduce_to(g, b.ndim))
     else:
-        bwd = lambda g: (_reduce_to_vector(g), -g)
+        bwd = lambda g: (_reduce_to(g, a.ndim), -g)
     return apply_op("sub", a.data - b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    mode, vec = _binary_plan(a, b)
+    mode, side = _binary_plan(a, b)
     ad, bd = a.data, b.data
     if mode == "same":
         bwd = lambda g: (g * bd, g * ad)
-    elif vec == 1:
-        bwd = lambda g: (g * bd, _reduce_to_vector(g * ad))
+    elif side == 1:
+        bwd = lambda g: (g * bd, _reduce_to(g * ad, b.ndim))
     else:
-        bwd = lambda g: (_reduce_to_vector(g * bd), g * ad)
+        bwd = lambda g: (_reduce_to(g * bd, a.ndim), g * ad)
     return apply_op("mul", ad * bd, (a, b), bwd)
 
 
@@ -384,7 +403,8 @@ def log(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     x = a.data
     mask = x > 0
-    return apply_op("relu", np.where(mask, x, 0.0), (a,), lambda g: (g * mask,))
+    # fmax returns the non-NaN operand and +0.0 for -0.0, like where(x > 0, x, 0)
+    return apply_op("relu", np.fmax(x, 0.0), (a,), lambda g: (g * mask,))
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -423,10 +443,11 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
+    """Permute axes; by default swap the last two."""
     if axes is None:
-        if a.ndim != 2:
-            raise ShapeMismatch("default transpose expects a 2-D tensor")
-        axes = (1, 0)
+        if a.ndim < 2:
+            raise ShapeMismatch("default transpose expects a tensor of rank >= 2")
+        axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     out = np.ascontiguousarray(a.data.transpose(axes))
@@ -460,22 +481,22 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
     return apply_op("stack", out, tensors, bwd)
 
 
-def mean_axis0(a: Tensor) -> Tensor:
-    n = a.shape[0]
+def mean_axis0(a: Tensor, axis: int = 0) -> Tensor:
+    """Mean over one axis (the leading one by default), which is dropped."""
+    n = a.shape[axis]
     shape = a.shape
 
     def bwd(g):
-        return (np.broadcast_to(g * (1.0 / n), shape),)
+        return (np.broadcast_to(np.expand_dims(g * (1.0 / n), axis), shape),)
 
-    return apply_op("mean_axis0", a.data.mean(axis=0), (a,), bwd)
+    return apply_op("mean_axis0", a.data.mean(axis=axis), (a,), bwd)
 
 
 def repeat_rows(v: Tensor, n: int) -> Tensor:
-    """Tile a vector into n identical rows."""
-    if v.ndim != 1:
-        raise ShapeMismatch(f"repeat_rows expects a vector, got {v.shape}")
-    out = np.broadcast_to(v.data, (n, v.shape[0])).copy()
-    return apply_op("repeat_rows", out, (v,), lambda g: (g.sum(axis=0),))
+    """Tile the last axis into n identical rows: (..., d) -> (..., n, d)."""
+    lead, d = v.shape[:-1], v.shape[-1]
+    out = np.broadcast_to(v.data[..., None, :], lead + (n, d)).copy()
+    return apply_op("repeat_rows", out, (v,), lambda g: (g.sum(axis=-2),))
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +585,13 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
     if any(d < 1 for d in dims):
         raise FormatError(f"invalid serialized dims {dims}")
     dt = _TAG_DTYPES[tag]
-    count = int(np.prod(dims))
+    count = 1
+    for d in dims:  # Python ints: np.prod would wrap around at 2**64
+        count *= d
     nbytes = count * dt.itemsize
-    if len(buf) < offset + nbytes:
-        raise FormatError("truncated tensor payload")
+    if len(buf) - offset < nbytes:
+        raise FormatError(f"truncated tensor payload: dims {dims} need {nbytes} bytes, "
+                          f"{len(buf) - offset} remain")
     data = np.frombuffer(buf, dtype=dt, count=count, offset=offset).reshape(dims)
     offset += nbytes
     native = np.dtype(np.float32) if tag == 0 else np.dtype(np.float64)

@@ -42,20 +42,22 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
 
 
-def bce_with_logits(logit: Union[Tensor, float], y: int):
+def bce_with_logits(logit: Union[Tensor, float], y):
     """Binary cross-entropy from the raw logit: softplus(-z) + (1-y)*z.
 
     Stable for |z| up to at least 1e4. Tensor input joins the gradient
-    tape and returns a scalar Tensor; plain numbers return a float.
+    tape and returns a Tensor of per-logit losses; y is then one label or
+    one label per logit. Plain numbers return a float.
     """
-    y = float(y)
-    if y not in (0.0, 1.0):
-        raise ConfigError(f"label must be 0 or 1, got {y}")
+    labels = np.asarray(y, dtype=np.float64)
+    if not np.all((labels == 0.0) | (labels == 1.0)):
+        raise ConfigError(f"labels must be 0 or 1, got {y}")
     if isinstance(logit, Tensor):
         loss = T.softplus(T.scale(logit, -1.0))
-        if y != 1.0:
-            loss = T.add(loss, T.scale(logit, 1.0 - y))
+        if np.any(labels != 1.0):
+            loss = T.add(loss, T.mul(logit, Tensor(np.broadcast_to(1.0 - labels, logit.shape))))
         return loss
+    y = float(y)
     z = float(logit)
     return max(-z, 0.0) + float(np.log1p(np.exp(-abs(z)))) + (1.0 - y) * z
 
@@ -130,25 +132,28 @@ class TrainResult:
     params: "M.CastParams"
 
 
-def clip_score(out: M.ModelOutput, mode: str) -> float:
-    """Per-video score in [0,1]: mean of per-frame sigmoids, or the sigmoid
-    of the clip logit."""
+def clip_scores(out: M.ModelOutput, mode: str) -> np.ndarray:
+    """Per-video scores in [0,1], one per clip of the forward pass: mean of
+    per-frame sigmoids, or the sigmoid of the clip logit."""
     if mode == "frame_mean":
-        return float(stable_sigmoid(out.frame_logits.data).mean())
+        return np.atleast_1d(stable_sigmoid(out.frame_logits.data).mean(axis=-1))
     if mode == "clip":
-        return float(stable_sigmoid(out.clip_logit.data)[0])
+        return stable_sigmoid(out.clip_logit.data)
     raise ConfigError(f"unknown eval_logit_mode {mode!r}")
 
 
 def _validate_epoch(params: M.CastParams, cfg: M.CastConfig,
-                    val_set: list[tuple[FrameClip, int]]) -> tuple[float, float]:
+                    val_set: list[tuple[FrameClip, int]],
+                    batch_size: int) -> tuple[float, float]:
     losses, scores, labels = [], [], []
     with T.no_grad():
-        for clip, label in val_set:
-            out = M.forward(clip, params, cfg, mode="eval")
-            losses.append(bce_with_logits(out.clip_logit.item(), label))
-            scores.append(clip_score(out, cfg.eval_logit_mode))
-            labels.append(label)
+        for start in range(0, len(val_set), batch_size):
+            chunk = val_set[start:start + batch_size]
+            out = M.forward([clip for clip, _ in chunk], params, cfg, mode="eval")
+            for z, (_, label) in zip(out.clip_logit.data, chunk):
+                losses.append(bce_with_logits(float(z), label))
+                labels.append(label)
+            scores.extend(float(v) for v in clip_scores(out, cfg.eval_logit_mode))
     if all(np.isfinite(s) for s in scores):
         _, auc = roc_auc(scores, labels)
     else:
@@ -194,13 +199,11 @@ def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
         for step in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[step:step + cfg.batch_size]]
             T.reset_graph()
-            loss_sum = None
-            for j, (clip, label) in enumerate(batch):
-                out = M.forward(clip, params, model_cfg, mode="train",
-                                seed=derive_seed(cfg.seed, "drop", epoch, step, j))
-                li = bce_with_logits(out.clip_logit, label)
-                loss_sum = li if loss_sum is None else T.add(loss_sum, li)
-            batch_loss = T.scale(loss_sum, 1.0 / len(batch))
+            seeds = [derive_seed(cfg.seed, "drop", epoch, step, j) for j in range(len(batch))]
+            out = M.forward([clip for clip, _ in batch], params, model_cfg,
+                            mode="train", seed=seeds)
+            losses = bce_with_logits(out.clip_logit, [label for _, label in batch])
+            batch_loss = T.scale(T.sum_all(losses), 1.0 / len(batch))
             scaled = (T.scale(batch_loss, cfg.loss_scale)
                       if cfg.loss_scale != 1.0 else batch_loss)
             grads = T.backward(scaled)
@@ -211,7 +214,7 @@ def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
         if not any(np.isfinite(v) for v in batch_losses):
             raise DivergenceError(f"epoch {epoch}: every batch loss was non-finite")
         train_loss = float(np.mean(batch_losses))
-        val_loss, val_auc = _validate_epoch(params, model_cfg, val_set)
+        val_loss, val_auc = _validate_epoch(params, model_cfg, val_set, cfg.batch_size)
         history.append(EpochRecord(epoch=epoch, train_loss=train_loss,
                                    val_loss=val_loss, val_auc=val_auc))
         if val_loss < best_val:

@@ -1,5 +1,7 @@
 """CLI contract: verbs, exit codes, printed output, artifact validity."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from castnet import cli
 from castnet import heatmap as H
 from castnet import model as M
 from castnet import synth
+from castnet import tensor as T
 from castnet.config import load_experiment_config, parse_experiment_text
 from castnet.errors import ConfigError
 from conftest import tiny_model_cfg
@@ -199,6 +202,28 @@ class TestCmdEval:
         M.save_checkpoint(ckpt, cfg, params)
         assert cli.main(["eval", "--checkpoint", str(ckpt),
                          "--manifest", str(tiny_dataset["manifest"])]) == 4
+
+    @pytest.mark.parametrize("fault", ["config_block", "entry_name", "duplicate_entry"])
+    def test_malformed_checkpoint_exits_two(self, tiny_dataset, zero_classifier_ckpt,
+                                            tmp_path, fault, capsys):
+        buf = zero_classifier_ckpt.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", buf, 10)
+        first = 14 + cfg_len  # first entry: u16 name length, name, tensor
+        (name_len,) = struct.unpack_from("<H", buf, first)
+        _, second = T.tensor_from_bytes(buf, first + 2 + name_len)
+        if fault == "config_block":
+            buf = buf[:14] + b"\xff" + buf[15:]
+        elif fault == "entry_name":
+            buf = buf[:first + 2] + b"\xff" + buf[first + 3:]
+        else:
+            buf = buf + buf[first:second]
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(buf)
+        code = cli.main(["eval", "--checkpoint", str(path),
+                         "--manifest", str(tiny_dataset["manifest"]),
+                         "--out", str(tmp_path / "rep")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCmdAblate:

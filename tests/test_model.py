@@ -1,6 +1,8 @@
 """Architecture-level contracts: token computation, encoding, fusion,
 variants, classification linearity, and checkpoint round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -407,6 +409,82 @@ class TestForward:
         assert T.grad_check(build, subset, eps=1e-5) < 1e-5
 
 
+class TestBatchedForward:
+    """A batched forward equals the per-clip forwards it replaces."""
+
+    @staticmethod
+    def _run(cfg, params, clips, mode, seeds):
+        T.reset_graph()
+        batch = M.forward(clips, params, cfg, mode=mode, seed=seeds)
+        labels = [clip.label for clip in clips]
+        grads = T.backward(T.sum_all(bce_with_logits(batch.clip_logit, labels)))
+        batched_grads = {k: grads.of(p).data for k, p in params.named_parameters().items()}
+        singles = []
+        T.reset_graph()
+        loss = None
+        for clip, s in zip(clips, seeds):
+            out = M.forward(clip, params, cfg, mode=mode, seed=s)
+            singles.append(out)
+            li = bce_with_logits(out.clip_logit, clip.label)
+            loss = li if loss is None else T.add(loss, li)
+        grads = T.backward(loss)
+        single_grads = {k: grads.of(p).data for k, p in params.named_parameters().items()}
+        return batch, singles, batched_grads, single_grads
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_matches_single_clip_forwards(self, variant, mode):
+        cfg = tiny_cfg(variant=variant, clip_len=3)
+        params = M.init_cast_params(cfg, seed=70)
+        clips = [make_clip(cfg, seed=71 + i, label=i % 2) for i in range(3)]
+        seeds = [101, 202, 303]
+        batch, singles, bg, sg = self._run(cfg, params, clips, mode, seeds)
+        assert batch.clip_logit.shape == (3,)
+        assert batch.frame_logits.shape == (3, cfg.clip_len)
+        assert batch.fused_tokens.shape == (3, cfg.clip_len, cfg.d)
+        assert batch.pooled.shape == (3, cfg.d)
+        for i, one in enumerate(singles):
+            np.testing.assert_allclose(batch.clip_logit.data[i], one.clip_logit.data[0],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batch.frame_logits.data[i], one.frame_logits.data,
+                                       rtol=0, atol=1e-12)
+            if one.attention is None:
+                assert batch.attention is None
+            else:
+                np.testing.assert_allclose(batch.attention.data[i], one.attention.data,
+                                           rtol=0, atol=1e-12)
+        for name, g in sg.items():
+            scale = max(1.0, float(np.abs(g).max()))
+            assert np.abs(bg[name] - g).max() <= 1e-10 * scale, name
+
+    def test_train_mode_masks_follow_each_clips_seed(self):
+        cfg = tiny_cfg()
+        params = M.init_cast_params(cfg, seed=72)
+        clip = make_clip(cfg, seed=73)
+        with T.no_grad():
+            out = M.forward([clip, clip], params, cfg, mode="train", seed=[1, 2])
+        assert out.clip_logit.data[0] != out.clip_logit.data[1]
+
+    def test_int_seed_is_shared_by_every_clip(self):
+        cfg = tiny_cfg()
+        params = M.init_cast_params(cfg, seed=74)
+        clip = make_clip(cfg, seed=75)
+        with T.no_grad():
+            out = M.forward([clip, clip], params, cfg, mode="train", seed=5)
+        assert out.clip_logit.data[0] == out.clip_logit.data[1]
+
+    def test_seed_count_and_clip_shapes_checked(self):
+        cfg = tiny_cfg()
+        params = M.init_cast_params(cfg, seed=76)
+        a, b = make_clip(cfg, seed=77), make_clip(cfg, seed=78, h=16, w=16)
+        with pytest.raises(ConfigError):
+            M.forward([a, a], params, cfg, mode="train", seed=[1])
+        with pytest.raises(ConfigError):
+            M.forward([a, b], params, cfg)
+        with pytest.raises(ConfigError):
+            M.forward([], params, cfg)
+
+
 class TestMultiScale:
     def test_token_construction(self):
         cfg = tiny_cfg(variant="multi_scale", clip_len=2)
@@ -461,6 +539,37 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
+        with pytest.raises(FormatError):
+            M.load_checkpoint(path)
+
+    @staticmethod
+    def _saved(tmp_path, seed):
+        """A saved checkpoint's bytes and the span of its first entry."""
+        cfg = tiny_cfg()
+        path = tmp_path / "m.ckpt"
+        M.save_checkpoint(path, cfg, M.init_cast_params(cfg, seed=seed))
+        buf = path.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", buf, 10)
+        first = 14 + cfg_len  # u16 name length, name, tensor
+        (name_len,) = struct.unpack_from("<H", buf, first)
+        _, end = T.tensor_from_bytes(buf, first + 2 + name_len)
+        return path, buf, first, end
+
+    def test_non_utf8_config_block_is_format_error(self, tmp_path):
+        path, buf, _, _ = self._saved(tmp_path, 66)
+        path.write_bytes(buf[:14] + b"\xff" + buf[15:])
+        with pytest.raises(FormatError):
+            M.load_checkpoint(path)
+
+    def test_non_utf8_entry_name_is_format_error(self, tmp_path):
+        path, buf, first, _ = self._saved(tmp_path, 67)
+        path.write_bytes(buf[:first + 2] + b"\xc3(" + buf[first + 4:])
+        with pytest.raises(FormatError):
+            M.load_checkpoint(path)
+
+    def test_duplicate_entry_is_format_error(self, tmp_path):
+        path, buf, first, end = self._saved(tmp_path, 68)
+        path.write_bytes(buf + buf[first:end])
         with pytest.raises(FormatError):
             M.load_checkpoint(path)
 

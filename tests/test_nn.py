@@ -92,6 +92,30 @@ class TestConv2d:
         assert T.grad_check(build, [x, k, b], eps=1e-5) < 1e-6
 
 
+    def test_constant_input_skips_input_gradient(self):
+        rng = np.random.default_rng(12)
+        xd = rng.uniform(-1, 1, (2, 3, 8, 8))
+        p = nn.Conv2dParams(kernel=T.Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)), requires_grad=True),
+                            bias=T.Tensor(rng.uniform(-1, 1, 4), requires_grad=True),
+                            stride=2, padding=1)
+        r = T.Tensor(rng.uniform(0.5, 1.5, (2, 4, 4, 4)))
+
+        def grads(x):
+            T.reset_graph()
+            g = T.backward(T.sum_all(T.mul(nn.conv2d(x, p), r)))
+            return g.of(p.kernel).data, g.of(p.bias).data
+
+        k_const, b_const = grads(T.Tensor(xd))
+        k_leaf, b_leaf = grads(T.Tensor(xd, requires_grad=True))
+        assert np.array_equal(k_const, k_leaf)
+        assert np.array_equal(b_const, b_leaf)
+
+        T.reset_graph()
+        nn.conv2d(T.Tensor(xd), p)
+        conv_rec = T.active_graph().records[-1]
+        assert conv_rec.backward_fn(np.ones((2, 4, 4, 4)))[0] is None
+
+
 class TestPointwiseProject:
     def test_hand_product(self):
         fm = T.Tensor(np.array([1.0, 2.0]).reshape(2, 1, 1))
@@ -225,6 +249,28 @@ class TestLayerNorm:
         assert T.grad_check(build, [x, p.gamma, p.beta]) < 1e-6
 
 
+    def test_leading_axes_are_rows(self):
+        rng = np.random.default_rng(15)
+        p = nn.LayerNormParams(gamma=T.Tensor(rng.uniform(0.5, 1.5, 6)),
+                               beta=T.Tensor(rng.uniform(-0.5, 0.5, 6)))
+        x = rng.uniform(-2, 2, (3, 4, 6))
+        out = nn.layer_norm(T.Tensor(x), p).data
+        for i in range(3):
+            assert np.array_equal(out[i], nn.layer_norm(T.Tensor(x[i]), p).data)
+
+    def test_batched_gradients(self):
+        rng = np.random.default_rng(16)
+        x = T.Tensor(rng.uniform(-2, 2, (2, 3, 5)), requires_grad=True)
+        p = nn.LayerNormParams(gamma=T.Tensor(rng.uniform(0.5, 1.5, 5), requires_grad=True),
+                               beta=T.Tensor(rng.uniform(-0.5, 0.5, 5), requires_grad=True))
+        r = T.Tensor(rng.uniform(0.5, 1.5, (2, 3, 5)))
+
+        def build():
+            return T.sum_all(T.mul(nn.layer_norm(x, p), r))
+
+        assert T.grad_check(build, [x, p.gamma, p.beta]) < 1e-6
+
+
 class TestSoftmaxRows:
     def test_symmetry(self):
         np.testing.assert_array_equal(nn.softmax_rows(T.Tensor([[0.0, 0.0]])).data,
@@ -247,6 +293,19 @@ class TestSoftmaxRows:
     def test_gradients(self):
         x = T.uniform((3, 5), -2, 2, seed=25, requires_grad=True)
         r = T.Tensor(np.random.default_rng(2).uniform(0.5, 1.5, (3, 5)))
+
+        def build():
+            return T.sum_all(T.mul(nn.softmax_rows(x), r))
+
+        assert T.grad_check(build, [x]) < 1e-6
+
+
+    def test_batched_rows_and_gradients(self):
+        x = T.uniform((2, 3, 5), -2, 2, seed=26, requires_grad=True)
+        out = nn.softmax_rows(x).data
+        for i in range(2):
+            assert np.array_equal(out[i], nn.softmax_rows(T.Tensor(x.data[i])).data)
+        r = T.Tensor(np.random.default_rng(3).uniform(0.5, 1.5, (2, 3, 5)))
 
         def build():
             return T.sum_all(T.mul(nn.softmax_rows(x), r))
@@ -291,6 +350,18 @@ class TestDropout:
             return T.sum_all(T.mul(nn.dropout(x, 0.4, "train", seed=55), r))
 
         assert T.grad_check(build, [x]) < 1e-6
+
+
+    def test_per_entry_seeds_give_each_entry_its_own_mask(self):
+        x = T.uniform((3, 4, 5), -1, 1, seed=4)
+        out = nn.dropout(x, 0.4, "train", seed=(11, 12, 13)).data
+        for i, s in enumerate((11, 12, 13)):
+            alone = nn.dropout(T.Tensor(x.data[i]), 0.4, "train", seed=s).data
+            assert np.array_equal(out[i], alone)
+
+    def test_seed_count_must_match_batch(self):
+        with pytest.raises(ShapeMismatch):
+            nn.dropout(T.ones((3, 4)), 0.4, "train", seed=(1, 2))
 
 
 def single_head_attention_oracle(x, wq, wk, wv, wo):

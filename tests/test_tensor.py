@@ -80,6 +80,23 @@ class TestMatmul:
         with pytest.raises(ShapeMismatch):
             T.matmul(T.ones((2, 3)), T.ones((2, 3)))
 
+    def test_batched_equals_per_index_products(self):
+        rng = np.random.default_rng(7)
+        a = rng.uniform(-2, 2, (3, 5, 4))
+        b = rng.uniform(-2, 2, (3, 4, 2))
+        w = rng.uniform(-2, 2, (4, 2))
+        batched = T.matmul(T.Tensor(a), T.Tensor(b)).data
+        shared = T.matmul(T.Tensor(a), T.Tensor(w)).data
+        for i in range(3):
+            np.testing.assert_allclose(batched[i], a[i] @ b[i], atol=1e-12, rtol=0)
+            np.testing.assert_allclose(shared[i], a[i] @ w, atol=1e-12, rtol=0)
+
+    def test_batched_leading_axes_must_match(self):
+        with pytest.raises(ShapeMismatch):
+            T.matmul(T.ones((2, 3, 4)), T.ones((3, 4, 2)))
+        with pytest.raises(ShapeMismatch):
+            T.matmul(T.ones((4,)), T.ones((4, 2)))
+
 
 class TestElementwise:
     def test_sigmoid_symmetry_point(self):
@@ -104,6 +121,15 @@ class TestElementwise:
             T.add(T.ones((2, 3)), T.ones((3, 2)))
         with pytest.raises(ShapeMismatch):
             T.add(T.ones((2, 3)), T.ones((2,)))  # only trailing dim may broadcast
+
+    def test_relu_matches_where_formulation(self):
+        rng = np.random.default_rng(8)
+        special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300])
+        x = np.concatenate([special, rng.standard_normal(200)])
+        got = T.relu(T.Tensor(x)).data
+        want = np.where(x > 0, x, 0.0)
+        assert np.array_equal(got, want)  # NaN maps to 0, so no NaN remains
+        assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 -> +0.0
 
     def test_log_domain(self):
         with pytest.raises(DomainError):
@@ -203,6 +229,11 @@ class TestPerOpGradients:
     def test_matmul(self):
         self._check(T.matmul, [(3, 4), (4, 2)])
 
+    def test_batched_matmul(self):
+        self._check(T.matmul, [(2, 3, 4), (2, 4, 2)])  # per-index operands
+        self._check(T.matmul, [(2, 3, 4), (4, 2)])     # one shared matrix
+        self._check(T.matmul, [(2, 2, 3, 4), (2, 2, 4, 3)])
+
     def test_add_sub_mul_same_shape(self):
         self._check(T.add, [(3, 4), (3, 4)])
         self._check(T.sub, [(3, 4), (3, 4)])
@@ -212,6 +243,11 @@ class TestPerOpGradients:
         self._check(T.add, [(3, 4), (4,)])
         self._check(T.sub, [(4,), (3, 4)])
         self._check(T.mul, [(3, 4), (4,)])
+
+    def test_trailing_block_broadcast(self):
+        self._check(T.add, [(2, 3, 4), (3, 4)])
+        self._check(T.sub, [(3, 4), (2, 3, 4)])
+        self._check(T.mul, [(2, 3, 4), (4,)])
 
     def test_scale(self):
         self._check(lambda a: T.scale(a, -1.7), [(3, 4)])
@@ -238,6 +274,11 @@ class TestPerOpGradients:
         self._check(lambda a: T.transpose(a, (2, 0, 1)), [(2, 3, 4)])
         self._check(T.mean_axis0, [(5, 3)])
         self._check(lambda v: T.repeat_rows(v, 4), [(3,)])
+
+    def test_batched_shape_ops(self):
+        self._check(T.transpose, [(2, 3, 4)])  # default swaps the last two axes
+        self._check(lambda a: T.mean_axis0(a, axis=-2), [(2, 5, 3)])
+        self._check(lambda v: T.repeat_rows(v, 4), [(2, 3)])
 
     def test_concat_stack(self):
         self._check(lambda a, b: T.concat([a, b], axis=1), [(3, 2), (3, 4)])
@@ -320,6 +361,13 @@ class TestSerialization:
         buf = T.tensor_to_bytes(T.uniform((4, 4), 0, 1, seed=1))
         with pytest.raises(FormatError):
             T.tensor_from_bytes(buf[:-3])
+
+    def test_dims_whose_product_overflows_int64(self):
+        # 2**33 * 2**31 elements: np.prod wraps to 0 and reshape fails later
+        buf = T.TENSOR_MAGIC + bytes([1, 0, 1, 2]) + (2 ** 33).to_bytes(8, "little") \
+            + (2 ** 31).to_bytes(8, "little") + b"\x00" * 64
+        with pytest.raises(FormatError):
+            T.tensor_from_bytes(buf)
 
     def test_trailing_bytes_rejected_by_file_loader(self, tmp_path):
         path = tmp_path / "t.tensor"

@@ -1,6 +1,8 @@
 """Loss contract, Adam semantics (including loss scaling), the training
 loop, and the metric computations."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,15 @@ class TestEvaluate:
         monkeypatch.setenv("CAST_THREADS", "4")
         parallel = metrics.evaluate(ckpt, tiny_dataset["manifest"])
         assert serial.scores == parallel.scores
+
+    def test_thread_count_capped_at_cpu_count(self, monkeypatch):
+        # _eval_threads only reads the variable; it starts no thread itself
+        monkeypatch.setenv("CAST_THREADS", "100000")
+        assert metrics._eval_threads() == (os.cpu_count() or 1)
+        monkeypatch.setenv("CAST_THREADS", "0")
+        assert metrics._eval_threads() == 1
+        monkeypatch.setenv("CAST_THREADS", "many")
+        assert metrics._eval_threads() == 1
 
     def test_mode_override(self, tiny_dataset, tmp_path):
         cfg = tiny_model_cfg()
