@@ -162,65 +162,3 @@ def load_experiment_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as f:
         return parse_experiment_text(f.read(), origin=path)
 
-
-def format_experiment_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form: sections and keys in a fixed sorted order."""
-    a = cfg.synth.artifact
-    sections = {
-        "ablation": {
-            "seeds": ",".join(str(s) for s in cfg.ablation.seeds),
-            "shift_amplitude_scale": repr(cfg.ablation.shift_amplitude_scale),
-            "shift_background": cfg.ablation.shift_background or "none",
-            "shift_region_jitter": repr(cfg.ablation.shift_region_jitter),
-        },
-        "evaluation": {
-            "manifest": cfg.evaluation.manifest or "none",
-            "mode": cfg.evaluation.mode or "none",
-        },
-        "model": {
-            "backbone_channels": ",".join(str(c) for c in cfg.model.backbone_channels),
-            "clip_len": str(cfg.model.clip_len),
-            "d": str(cfg.model.d),
-            "dropout": repr(cfg.model.dropout),
-            "encoder_layers": str(cfg.model.encoder_layers),
-            "eval_logit_mode": cfg.model.eval_logit_mode,
-            "ffn_dim": str(cfg.model.ffn_dim),
-            "fusion_heads": str(cfg.model.fusion_heads),
-            "heads": str(cfg.model.heads),
-            "kernel": str(cfg.model.kernel),
-            "stride": str(cfg.model.stride),
-            "variant": cfg.model.variant,
-        },
-        "output": {"dir": cfg.out_dir},
-        "synth": {
-            "artifact_amplitude": repr(a.amplitude),
-            "artifact_kind": a.kind,
-            "artifact_period": str(a.temporal_period),
-            "artifact_region": ",".join(repr(v) for v in a.region),
-            "background_style": cfg.synth.background_style,
-            "base_seed": str(cfg.synth.base_seed),
-            "fake_fraction": repr(cfg.synth.fake_fraction),
-            "frames": str(cfg.synth.frames),
-            "h": str(cfg.synth.h),
-            "n_test": str(cfg.synth.n_test),
-            "n_train": str(cfg.synth.n_train),
-            "n_val": str(cfg.synth.n_val),
-            "w": str(cfg.synth.w),
-        },
-        "training": {
-            "batch_size": str(cfg.training.batch_size),
-            "dropout": repr(cfg.training.dropout),
-            "loss_scale": repr(cfg.training.loss_scale),
-            "lr": repr(cfg.training.lr),
-            "max_epochs": str(cfg.training.max_epochs),
-            "seed": str(cfg.training.seed),
-            "weight_decay": repr(cfg.training.weight_decay),
-        },
-    }
-    chunks = []
-    for name in sorted(sections):
-        chunks.append(f"[{name}]\n")
-        for key, val in sections[name].items():
-            chunks.append(f"{key}={val}\n")
-        chunks.append("\n")
-    return "".join(chunks).rstrip("\n") + "\n"

@@ -16,16 +16,6 @@ from .errors import DegenerateEval, EmptyEval, NumericalFailure
 from .preprocess import read_clip, read_manifest
 
 
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def accuracy(scores, labels) -> tuple[int, int, int, int, float]:
     """Confusion counts and accuracy at the fixed 0.5 threshold; a score of
     exactly 0.5 classifies positive (fake)."""

@@ -9,6 +9,10 @@ the time-averaged spatial tokens (queries from time, keys/values from
 space), followed by residual add + layer norm, mean pooling, and a linear
 classifier. Every ablation variant is a runtime configuration choice.
 
+Every attention block (the encoder's self-attention, the cross-attention
+fusion in all four of its variants, and the two streams of the decoupled
+ablation) is one nn.attention call, with the heads as a batch axis.
+
 forward() takes a batch of clips. The backbone, the tokens and the
 spatial mean run per clip; from the encoder on, every stage runs once over
 the stacked batch, with a leading batch axis on every token tensor.
@@ -120,17 +124,20 @@ class CastConfig:
             if "=" not in line:
                 raise ConfigError(f"bad config line {line!r}")
             key, value = line.split("=", 1)
-            if key == "backbone_channels":
-                kwargs[key] = tuple(int(v) for v in value.split(","))
-            elif key in ("clip_len", "d", "encoder_layers", "ffn_dim",
-                         "fusion_heads", "heads", "kernel", "stride"):
-                kwargs[key] = int(value)
-            elif key == "dropout":
-                kwargs[key] = float(value)
-            elif key in ("variant", "eval_logit_mode"):
-                kwargs[key] = value
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
+            try:
+                if key == "backbone_channels":
+                    kwargs[key] = tuple(int(v) for v in value.split(","))
+                elif key in ("clip_len", "d", "encoder_layers", "ffn_dim",
+                             "fusion_heads", "heads", "kernel", "stride"):
+                    kwargs[key] = int(value)
+                elif key == "dropout":
+                    kwargs[key] = float(value)
+                elif key in ("variant", "eval_logit_mode"):
+                    kwargs[key] = value
+                else:
+                    raise ConfigError(f"unknown config key {key!r}")
+            except ValueError:
+                raise ConfigError(f"bad value for config key {key!r}: {value!r}") from None
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -319,15 +326,6 @@ def backbone_stages(frames: Tensor, backbone: list[Conv2dParams]) -> list[Tensor
     return outs
 
 
-def backbone_forward(frames: Tensor, backbone: list[Conv2dParams],
-                     cfg: CastConfig) -> Tensor:
-    f = cfg.downsample_factor
-    h, w = frames.shape[2], frames.shape[3]
-    if h % f or w % f:
-        raise ConfigError(f"frame dims {h}x{w} not divisible by backbone factor {f}")
-    return backbone_stages(frames, backbone)[-1]
-
-
 def spatial_tokens(fmaps: Tensor, proj: Optional[PointwiseProj]) -> Tensor:
     """(F, C, H', W') -> (F, H'*W', d); row-major flatten of the grid.
     Without a projection the raw C-dim channel fibers are the tokens."""
@@ -375,38 +373,14 @@ def spatial_mean(s: Tensor) -> Tensor:
     return T.mean_axis0(s)
 
 
-def cross_attention_core(z: Tensor, s_mean: Tensor, fusion: FusionParams,
-                         drop_rate: float, mode: str, seed) -> tuple[Tensor, Tensor]:
-    """Multi-head cross-attention before the residual: queries from z,
-    keys/values from s_mean, both (..., n, d) with the same leading axes.
-    Returns (z_hat, head-averaged attention)."""
-    outs, attns = [], []
-    for i, head in enumerate(fusion.heads):
-        q = T.matmul(z, head.wq)
-        k = T.matmul(s_mean, head.wk)
-        v = T.matmul(s_mean, head.wv)
-        out, attn = nn.scaled_dot_attention(q, k, v, drop_rate, mode,
-                                            derive_seed(seed, "fusion_head", i))
-        outs.append(out)
-        attns.append(attn)
-    cat = outs[0] if len(outs) == 1 else T.concat(outs, axis=-1)
-    z_hat = T.add(T.matmul(cat, fusion.out_proj), fusion.out_bias)
-    avg = attns[0]
-    if len(attns) > 1:
-        for a in attns[1:]:
-            avg = T.add(avg, a)
-        avg = T.scale(avg, 1.0 / len(attns))
-    return z_hat, avg
-
-
 def cross_attention_fuse(z: Tensor, s_mean: Tensor, fusion: FusionParams,
                          variant: str, drop_rate: float, mode: str,
                          seed) -> tuple[Tensor, Optional[Tensor]]:
-    """Fusion stage for the cross-attention variants.
+    """Fusion stage for the cross-attention variants: one nn.attention call,
+    output bias, dropout, residual add and layer norm.
 
-    full / multi_scale / no_projection: temporal queries over spatial
-    keys/values, dropout, residual add, layer norm; A is the head-averaged
-    weight matrix.
+    full / multi_scale / no_projection: temporal queries z over spatial
+    keys/values s_mean; A is the head-averaged weight matrix.
 
     reversed_qkv: spatial tokens are queries, temporal tokens keys/values.
     The spatially-indexed output rows are redistributed to temporal rows
@@ -414,17 +388,17 @@ def cross_attention_fuse(z: Tensor, s_mean: Tensor, fusion: FusionParams,
     reported A is that transpose, row-normalized so each temporal row is
     again a distribution over spatial sites.
     """
-    if variant == "reversed_qkv":
-        z_hat_s, attn_avg = cross_attention_core(s_mean, z, fusion, drop_rate,
-                                                 mode, seed)
-        z_hat_s = nn.dropout(z_hat_s, drop_rate, mode, derive_seed(seed, "fusion_out"))
-        z_hat = T.matmul(T.transpose(attn_avg), z_hat_s)
+    reversed_qkv = variant == "reversed_qkv"
+    xq, xkv = (s_mean, z) if reversed_qkv else (z, s_mean)
+    z_hat, attn_avg = nn.attention(xq, xkv, fusion.heads, fusion.out_proj,
+                                   drop_rate, mode, seed, "fusion_head")
+    z_hat = nn.dropout(T.add(z_hat, fusion.out_bias), drop_rate, mode,
+                       derive_seed(seed, "fusion_out"))
+    if reversed_qkv:
+        z_hat = T.matmul(T.transpose(attn_avg), z_hat)
         at = attn_avg.data.swapaxes(-1, -2)
         report = Tensor(at / at.sum(axis=-1, keepdims=True))
     else:
-        z_hat, attn_avg = cross_attention_core(z, s_mean, fusion, drop_rate,
-                                               mode, seed)
-        z_hat = nn.dropout(z_hat, drop_rate, mode, derive_seed(seed, "fusion_out"))
         report = Tensor(attn_avg.data.copy())
     fused = nn.layer_norm(T.add(z, z_hat), fusion.ln)
     return fused, report
@@ -432,8 +406,9 @@ def cross_attention_fuse(z: Tensor, s_mean: Tensor, fusion: FusionParams,
 
 def decoupled_fuse(z: Tensor, s_mean: Tensor, p: DecoupledParams,
                    mode: str, seed) -> Tensor:
-    """Ablation: independent self-attention per stream, spatial side mean
-    pooled and concatenated to every temporal row, linear back to d."""
+    """Ablation: independent self-attention (nn.mhsa) per stream, spatial
+    side mean pooled and concatenated to every temporal row, linear back
+    to d."""
     za = nn.mhsa(z, p.temporal, mode, derive_seed(seed, "dec_t"))
     sa = nn.mhsa(s_mean, p.spatial, mode, derive_seed(seed, "dec_s"))
     s_pool = T.mean_axis0(sa, axis=-2)

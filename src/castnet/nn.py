@@ -221,9 +221,10 @@ def dropout(x: Tensor, rate: float, mode: str, seed=0) -> Tensor:
     """Inverted dropout: zero with probability rate, scale survivors by
     1/(1-rate). Eval mode is the identity. Deterministic per seed.
 
-    seed is one int, or one int per index of x's leading (batch) axis; then
-    entry b's mask is drawn from seed[b] at shape x.shape[1:], exactly the
-    mask that entry alone would get from that seed.
+    seed is one int, or one seed per index of x's leading axis; then entry
+    i's mask is drawn from seed[i] at shape x.shape[1:], exactly the mask
+    that entry alone would get from that seed. Seeds nest: seed[h][b] is
+    the seed of x[h, b].
     """
     if not (0.0 <= rate < 1.0):
         raise InvalidRate(f"dropout rate must be in [0, 1), got {rate}")
@@ -231,17 +232,16 @@ def dropout(x: Tensor, rate: float, mode: str, seed=0) -> Tensor:
         raise ConfigError(f"unknown dropout mode '{mode}'")
     if mode == "eval" or rate == 0.0:
         return x
-    if isinstance(seed, (tuple, list)):
-        if len(seed) != x.shape[0]:
-            raise ShapeMismatch(f"{len(seed)} dropout seeds for a batch of {x.shape[0]}")
-        keep = np.stack([_keep_mask(s, x.shape[1:], rate) for s in seed])
-    else:
-        keep = _keep_mask(seed, x.shape, rate)
-    factor = keep * (1.0 / (1.0 - rate))
+    factor = _keep_mask(seed, x.shape, rate) * (1.0 / (1.0 - rate))
     return apply_op("dropout", x.data * factor, (x,), lambda g: (g * factor,))
 
 
-def _keep_mask(seed: int, shape, rate: float) -> np.ndarray:
+def _keep_mask(seed, shape: tuple, rate: float) -> np.ndarray:
+    if isinstance(seed, (tuple, list)):
+        if not shape or len(seed) != shape[0]:
+            raise ShapeMismatch(f"{len(seed)} dropout seeds for a leading axis "
+                                f"of shape {shape}")
+        return np.stack([_keep_mask(s, shape[1:], rate) for s in seed])
     rng = np.random.Generator(np.random.PCG64(seed))
     return rng.random(shape) >= rate
 
@@ -264,26 +264,47 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, drop_rate: float,
     return T.matmul(attn_used, v), attn
 
 
-def mhsa(x: Tensor, p: MhsaParams, mode: str = "eval", seed=0) -> Tensor:
-    """Multi-head self-attention with per-head projections, concatenation,
-    and an output projection over (..., n, d). Dropout is applied to
-    attention weights."""
-    if x.ndim < 2:
-        raise ShapeMismatch(f"mhsa expects (..., n, d), got {x.shape}")
-    d = x.shape[-1]
-    n_heads = len(p.heads)
+def attention(xq: Tensor, xkv: Tensor, heads: list[AttnHead], out_proj: Tensor,
+              drop_rate: float, mode: str, seed, tag: str) -> tuple[Tensor, Tensor]:
+    """Multi-head attention of queries from xq (..., n, d) over keys and
+    values from xkv (..., m, d), with the same leading axes; self-attention
+    passes the same tensor twice.
+
+    The per-head projections are concatenated, so Q, K and V take one
+    matmul each. The heads then become one leading axis, (H, ..., n, d_h),
+    and one scaled_dot_attention covers them all. Head h draws its
+    attention-dropout mask from derive_seed(seed, tag, h), per clip when
+    seed holds one seed per clip. Returns (head outputs concatenated in
+    head order, then @ out_proj; attention weights averaged over the
+    heads, (..., n, m)).
+    """
+    if xq.ndim < 2 or xkv.ndim < 2:
+        raise ShapeMismatch(f"attention expects (..., n, d), got {xq.shape} and {xkv.shape}")
+    d = xq.shape[-1]
+    n_heads = len(heads)
     if n_heads == 0 or d % n_heads != 0:
         raise ConfigError(f"token dim {d} not divisible by {n_heads} heads")
-    outs = []
-    for i, head in enumerate(p.heads):
-        q = T.matmul(x, head.wq)
-        k = T.matmul(x, head.wk)
-        v = T.matmul(x, head.wv)
-        out, _ = scaled_dot_attention(q, k, v, p.dropout, mode,
-                                      derive_seed(seed, "mhsa_head", i))
-        outs.append(out)
-    cat = outs[0] if n_heads == 1 else T.concat(outs, axis=-1)
-    return T.matmul(cat, p.out_proj)
+
+    def project(x, name):
+        w = T.concat([getattr(head, name) for head in heads], axis=-1)  # (d, H*d_h)
+        y = T.matmul(x, w)
+        y = T.reshape(y, y.shape[:-1] + (n_heads, y.shape[-1] // n_heads))
+        r = y.ndim  # (..., n, H, d_h) -> (H, ..., n, d_h)
+        return T.transpose(y, (r - 2,) + tuple(range(r - 2)) + (r - 1,))
+
+    head_seeds = [derive_seed(seed, tag, h) for h in range(n_heads)]
+    out, attn = scaled_dot_attention(project(xq, "wq"), project(xkv, "wk"),
+                                     project(xkv, "wv"), drop_rate, mode, head_seeds)
+    r = out.ndim  # (H, ..., n, d_h) -> (..., n, H, d_h) -> (..., n, H*d_h)
+    merged = T.transpose(out, tuple(range(1, r - 1)) + (0, r - 1))
+    merged = T.reshape(merged, merged.shape[:-2] + (n_heads * merged.shape[-1],))
+    return T.matmul(merged, out_proj), T.mean_axis0(attn)
+
+
+def mhsa(x: Tensor, p: MhsaParams, mode: str = "eval", seed=0) -> Tensor:
+    """Multi-head self-attention over (..., n, d): attention() with queries,
+    keys and values all from x, dropout on the attention weights."""
+    return attention(x, x, p.heads, p.out_proj, p.dropout, mode, seed, "mhsa_head")[0]
 
 
 # ---------------------------------------------------------------------------

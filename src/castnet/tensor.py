@@ -374,13 +374,19 @@ def scale(a: Tensor, c: float) -> Tensor:
     return apply_op("scale", a.data * c, (a,), lambda g: (g * c,))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) of a float array, with exp taken only of values <= 0
+    so that no entry overflows."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = stable_sigmoid(a.data)
 
     def bwd(g):
         return (g * out * (1.0 - out),)
@@ -413,12 +419,7 @@ def softplus(a: Tensor) -> Tensor:
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
     def bwd(g):
-        s = np.empty_like(x)
-        pos = x >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        s[~pos] = ex / (1.0 + ex)
-        return (g * s,)
+        return (g * stable_sigmoid(x),)
 
     return apply_op("softplus", out, (a,), bwd)
 

@@ -12,10 +12,10 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .errors import ConfigError, DivergenceError, ShapeMismatch
-from .metrics import roc_auc, stable_sigmoid
+from .metrics import roc_auc
 from .preprocess import FrameClip, load_split
 from .seeding import derive_seed
-from .tensor import GradientMap, Tensor
+from .tensor import GradientMap, Tensor, stable_sigmoid
 
 
 @dataclass

@@ -203,6 +203,18 @@ class TestCmdEval:
         assert cli.main(["eval", "--checkpoint", str(ckpt),
                          "--manifest", str(tiny_dataset["manifest"])]) == 4
 
+    def test_non_numeric_config_value_exits_four(self, tiny_dataset, zero_classifier_ckpt,
+                                                 tmp_path, capsys):
+        buf = zero_classifier_ckpt.read_bytes()
+        assert buf.count(b"\nd=8\n") == 1
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(buf.replace(b"\nd=8\n", b"\nd=x\n"))
+        code = cli.main(["eval", "--checkpoint", str(path),
+                         "--manifest", str(tiny_dataset["manifest"]),
+                         "--out", str(tmp_path / "rep")])
+        assert code == 4
+        assert "'d'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fault", ["config_block", "entry_name", "duplicate_entry"])
     def test_malformed_checkpoint_exits_two(self, tiny_dataset, zero_classifier_ckpt,
                                             tmp_path, fault, capsys):

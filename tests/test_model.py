@@ -43,6 +43,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             M.CastConfig.from_text("wibble=3\n")
 
+    @pytest.mark.parametrize("line", ["d=x", "dropout=abc", "backbone_channels=4,x",
+                                      "backbone_channels="])
+    def test_non_numeric_value_names_key(self, line):
+        key = line.split("=")[0]
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            M.CastConfig.from_text(tiny_cfg().to_text() + line + "\n")
+
     def test_no_projection_requires_matching_dims(self):
         with pytest.raises(ConfigError):
             tiny_cfg(variant="no_projection", d=16).validate()
@@ -60,29 +67,29 @@ class TestBackbone:
         cfg = M.CastConfig(clip_len=2)
         params = M.init_cast_params(cfg, seed=0)
         frames = T.uniform((2, 3, 32, 32), -1, 1, seed=1)
-        out = M.backbone_forward(frames, params.backbone, cfg)
+        out = M.backbone_stages(frames, params.backbone)[-1]
         assert out.shape == (2, 64, 4, 4)
 
     def test_zero_input_zero_bias_gives_zero_maps(self):
         cfg = tiny_cfg()
         params = M.init_cast_params(cfg, seed=0)
         frames = T.zeros((2, 3, 8, 8))
-        out = M.backbone_forward(frames, params.backbone, cfg)
+        out = M.backbone_stages(frames, params.backbone)[-1]
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_indivisible_dims_rejected(self):
         cfg = tiny_cfg()
         params = M.init_cast_params(cfg, seed=0)
         with pytest.raises(ConfigError):
-            M.backbone_forward(T.zeros((2, 3, 10, 10)), params.backbone, cfg)
+            M.forward(make_clip(cfg, h=10, w=10), params, cfg)
 
     def test_per_frame_independence_under_permutation(self):
         cfg = tiny_cfg(clip_len=4)
         params = M.init_cast_params(cfg, seed=0)
         frames = T.uniform((4, 3, 8, 8), -1, 1, seed=2)
-        out = M.backbone_forward(frames, params.backbone, cfg).data
+        out = M.backbone_stages(frames, params.backbone)[-1].data
         perm = [2, 0, 3, 1]
-        out_p = M.backbone_forward(T.Tensor(frames.data[perm]), params.backbone, cfg).data
+        out_p = M.backbone_stages(T.Tensor(frames.data[perm]), params.backbone)[-1].data
         np.testing.assert_array_equal(out_p, out[perm])
 
 
@@ -215,7 +222,8 @@ class TestCrossAttention:
         fusion = identity_fusion(d=1)
         z = T.Tensor([[1.0]])
         s_mean = T.Tensor([[1.0], [0.0]])
-        z_hat, attn = M.cross_attention_core(z, s_mean, fusion, 0.0, "eval", 0)
+        z_hat, attn = nn.attention(z, s_mean, fusion.heads, fusion.out_proj,
+                                   0.0, "eval", 0, "fusion_head")
         e = np.e
         np.testing.assert_allclose(attn.data, [[e / (1 + e), 1 / (1 + e)]], atol=1e-12)
         np.testing.assert_allclose(z_hat.data, [[e / (1 + e)]], atol=1e-12)
@@ -565,6 +573,13 @@ class TestCheckpoint:
         path, buf, first, _ = self._saved(tmp_path, 67)
         path.write_bytes(buf[:first + 2] + b"\xc3(" + buf[first + 4:])
         with pytest.raises(FormatError):
+            M.load_checkpoint(path)
+
+    def test_non_numeric_config_value_is_config_error(self, tmp_path):
+        path, buf, _, _ = self._saved(tmp_path, 69)
+        assert buf.count(b"\nd=8\n") == 1
+        path.write_bytes(buf.replace(b"\nd=8\n", b"\nd=x\n"))
+        with pytest.raises(ConfigError, match="'d'"):
             M.load_checkpoint(path)
 
     def test_duplicate_entry_is_format_error(self, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from castnet import nn
 from castnet import tensor as T
 from castnet.errors import ConfigError, InvalidRate, ShapeMismatch
+from castnet.seeding import derive_seed
 
 
 @pytest.fixture(autouse=True)
@@ -363,6 +364,17 @@ class TestDropout:
         with pytest.raises(ShapeMismatch):
             nn.dropout(T.ones((3, 4)), 0.4, "train", seed=(1, 2))
 
+    def test_nested_seeds_cover_two_leading_axes(self):
+        x = T.uniform((2, 3, 4, 5), -1, 1, seed=6)
+        seeds = [[21, 22, 23], [31, 32, 33]]
+        out = nn.dropout(x, 0.4, "train", seed=seeds).data
+        for h in range(2):
+            for b in range(3):
+                alone = nn.dropout(T.Tensor(x.data[h, b]), 0.4, "train", seed=seeds[h][b]).data
+                assert np.array_equal(out[h, b], alone)
+        with pytest.raises(ShapeMismatch):
+            nn.dropout(x, 0.4, "train", seed=[[1, 2], [3, 4]])
+
 
 def single_head_attention_oracle(x, wq, wk, wv, wo):
     """Step-by-step single-head self-attention in plain numpy."""
@@ -421,6 +433,9 @@ class TestMhsa:
         p.heads.append(p.heads[0])  # 3 heads no longer divide d=6 into d_h=3 each
         with pytest.raises(ConfigError):
             nn.mhsa(T.zeros((2, 7)), nn.MhsaParams(heads=p.heads[:3], out_proj=p.out_proj))
+        with pytest.raises(ConfigError):  # cross-attention: queries and keys differ
+            nn.attention(T.zeros((2, 7)), T.zeros((5, 7)), p.heads[:3], p.out_proj,
+                         0.0, "eval", 0, "fusion_head")
 
     def test_gradients(self):
         x = T.uniform((3, 4), -1, 1, seed=31, requires_grad=True)
@@ -433,6 +448,71 @@ class TestMhsa:
 
         def build():
             return T.sum_all(T.mul(nn.mhsa(x, p), r))
+
+        assert T.grad_check(build, params) < 1e-6
+
+
+def per_head_attention(xq, xkv, heads, out_proj, drop_rate, mode, seed, tag):
+    """Reference: one Q/K/V projection and one scaled_dot_attention per
+    head, concatenation in head order, then the output projection."""
+    outs, attn_sum = [], None
+    for h, head in enumerate(heads):
+        out, attn = nn.scaled_dot_attention(
+            T.matmul(xq, head.wq), T.matmul(xkv, head.wk), T.matmul(xkv, head.wv),
+            drop_rate, mode, derive_seed(seed, tag, h))
+        outs.append(out)
+        attn_sum = attn if attn_sum is None else T.add(attn_sum, attn)
+    cat = T.concat(outs, axis=-1)
+    return T.matmul(cat, out_proj), T.scale(attn_sum, 1.0 / len(heads))
+
+
+class TestAttention:
+    """nn.attention (heads as a batch axis) against the per-head reference."""
+
+    @staticmethod
+    def _run(fn, xq, xkv, p, drop_rate, mode, seed, r_out, r_attn):
+        T.reset_graph()
+        out, attn = fn(xq, xkv, p.heads, p.out_proj, drop_rate, mode, seed, "tag")
+        loss = T.add(T.sum_all(T.mul(out, r_out)), T.sum_all(T.mul(attn, r_attn)))
+        grads = T.backward(loss)
+        tensors = [xq, xkv, p.out_proj] + [w for h in p.heads for w in (h.wq, h.wk, h.wv)]
+        return out.data, attn.data, [grads.of(t).data for t in tensors]
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("lead,seed", [((), 7), ((3,), 7), ((3,), (7, 8, 9))],
+                             ids=["unbatched", "batch_int_seed", "batch_per_clip_seeds"])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_matches_per_head_reference(self, cross, n_heads, lead, seed, mode):
+        rng = np.random.default_rng(60 + n_heads)
+        d, n_q, n_kv = 8, 5, (3 if cross else 5)
+        p = nn.init_mhsa(d, n_heads, 0.3, seed=61)
+        xq = T.Tensor(rng.uniform(-1, 1, lead + (n_q, d)), requires_grad=True)
+        xkv = T.Tensor(rng.uniform(-1, 1, lead + (n_kv, d)), requires_grad=True) \
+            if cross else xq
+        r_out = T.Tensor(rng.uniform(0.5, 1.5, lead + (n_q, d)))
+        r_attn = T.Tensor(rng.uniform(0.5, 1.5, lead + (n_q, n_kv)))
+        args = (xq, xkv, p, 0.3, mode, seed, r_out, r_attn)
+        out, attn, grads = self._run(nn.attention, *args)
+        ref_out, ref_attn, ref_grads = self._run(per_head_attention, *args)
+        assert out.shape == lead + (n_q, d) and attn.shape == lead + (n_q, n_kv)
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(attn, ref_attn, rtol=0, atol=1e-12)
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
+
+    def test_cross_attention_gradients(self):
+        rng = np.random.default_rng(64)
+        xq = T.Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+        xkv = T.Tensor(rng.uniform(-1, 1, (5, 4)), requires_grad=True)
+        p = nn.init_mhsa(4, 2, 0.3, seed=65)
+        params = [xq, xkv, p.out_proj] + [w for h in p.heads for w in (h.wq, h.wk, h.wv)]
+        r_out = T.Tensor(rng.uniform(0.5, 1.5, (3, 4)))
+        r_attn = T.Tensor(rng.uniform(0.5, 1.5, (3, 5)))
+
+        def build():
+            out, attn = nn.attention(xq, xkv, p.heads, p.out_proj, 0.3, "train", 5, "tag")
+            return T.add(T.sum_all(T.mul(out, r_out)), T.sum_all(T.mul(attn, r_attn)))
 
         assert T.grad_check(build, params) < 1e-6
 
