@@ -39,7 +39,7 @@ def _load_config(args):
 
 def cmd_gen(args) -> int:
     cfg = _load_config(args)
-    data_dir = os.path.join(cfg.out_dir, "data")
+    data_dir = os.path.join(cfg.output.dir, "data")
     manifest = generate_dataset(cfg.synth, data_dir)
     print(manifest.manifest_path)
     return 0
@@ -48,7 +48,7 @@ def cmd_gen(args) -> int:
 def _training_manifest(cfg) -> str:
     if cfg.evaluation.manifest:
         return cfg.evaluation.manifest
-    return os.path.join(cfg.out_dir, "data", "manifest.tsv")
+    return os.path.join(cfg.output.dir, "data", "manifest.tsv")
 
 
 def cmd_train(args) -> int:
@@ -57,7 +57,7 @@ def cmd_train(args) -> int:
     if not os.path.exists(manifest):
         raise FileNotFoundError(f"manifest not found: {manifest} (run gen first "
                                 f"or set [evaluation] manifest)")
-    run_dir = os.path.join(cfg.out_dir, "train")
+    run_dir = os.path.join(cfg.output.dir, "train")
     result = train(cfg.model, manifest, manifest, cfg.training, run_dir)
     print(f"best_epoch {result.best_epoch}")
     print(f"best_val_loss {result.best_val_loss!r}")
@@ -82,7 +82,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
-    root = os.path.join(cfg.out_dir, "ablate")
+    root = os.path.join(cfg.output.dir, "ablate")
     os.makedirs(root, exist_ok=True)
     rows: list[tuple[str, str, float, float]] = []
     failures: list[str] = []
@@ -94,7 +94,7 @@ def cmd_ablate(args) -> int:
         manifest = generate_dataset(synth_cfg, data_dir).manifest_path
         print(f"dataset seed={seed} sha256={dataset_checksum(data_dir)}")
 
-        shifted_cfg = replace(shifted_variant(synth_cfg, cfg.ablation.shift_spec()),
+        shifted_cfg = replace(shifted_variant(synth_cfg, cfg.ablation.shift),
                               n_train=1, n_val=1)
         shifted_dir = os.path.join(seed_dir, "data_shifted")
         shifted_manifest = generate_dataset(shifted_cfg, shifted_dir).manifest_path

@@ -25,7 +25,9 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
-from . import nn
+import numpy as np
+
+from . import kvtext, nn
 from . import tensor as T
 from .errors import CheckpointError, ConfigError, FormatError
 from .nn import (
@@ -95,52 +97,6 @@ class CastConfig:
             raise ConfigError(
                 f"no_projection requires d == backbone output channels "
                 f"({self.d} != {self.backbone_out_channels})")
-
-    def to_text(self) -> str:
-        """Canonical key=value block, keys sorted."""
-        items = {
-            "backbone_channels": ",".join(str(c) for c in self.backbone_channels),
-            "clip_len": str(self.clip_len),
-            "d": str(self.d),
-            "dropout": repr(self.dropout),
-            "encoder_layers": str(self.encoder_layers),
-            "eval_logit_mode": self.eval_logit_mode,
-            "ffn_dim": str(self.ffn_dim),
-            "fusion_heads": str(self.fusion_heads),
-            "heads": str(self.heads),
-            "kernel": str(self.kernel),
-            "stride": str(self.stride),
-            "variant": self.variant,
-        }
-        return "".join(f"{k}={v}\n" for k, v in sorted(items.items()))
-
-    @classmethod
-    def from_text(cls, text: str) -> "CastConfig":
-        kwargs = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line {line!r}")
-            key, value = line.split("=", 1)
-            try:
-                if key == "backbone_channels":
-                    kwargs[key] = tuple(int(v) for v in value.split(","))
-                elif key in ("clip_len", "d", "encoder_layers", "ffn_dim",
-                             "fusion_heads", "heads", "kernel", "stride"):
-                    kwargs[key] = int(value)
-                elif key == "dropout":
-                    kwargs[key] = float(value)
-                elif key in ("variant", "eval_logit_mode"):
-                    kwargs[key] = value
-                else:
-                    raise ConfigError(f"unknown config key {key!r}")
-            except ValueError:
-                raise ConfigError(f"bad value for config key {key!r}: {value!r}") from None
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
 
 
 @dataclass
@@ -390,8 +346,9 @@ def cross_attention_fuse(z: Tensor, s_mean: Tensor, fusion: FusionParams,
     """
     reversed_qkv = variant == "reversed_qkv"
     xq, xkv = (s_mean, z) if reversed_qkv else (z, s_mean)
-    z_hat, attn_avg = nn.attention(xq, xkv, fusion.heads, fusion.out_proj,
-                                   drop_rate, mode, seed, "fusion_head")
+    z_hat, attn = nn.attention(xq, xkv, fusion.heads, fusion.out_proj,
+                               drop_rate, mode, seed, "fusion_head")
+    attn_avg = T.mean_axis0(attn)
     z_hat = nn.dropout(T.add(z_hat, fusion.out_bias), drop_rate, mode,
                        derive_seed(seed, "fusion_out"))
     if reversed_qkv:
@@ -521,7 +478,7 @@ CKPT_VERSION = 1
 
 
 def save_checkpoint(path, cfg: CastConfig, params: CastParams) -> None:
-    cfg_block = cfg.to_text().encode("utf-8")
+    cfg_block = kvtext.encode(cfg).encode("utf-8")
     parts = [CKPT_MAGIC, struct.pack("<H", CKPT_VERSION),
              struct.pack("<I", len(cfg_block)), cfg_block]
     for name, tensor in params.named_parameters().items():
@@ -536,16 +493,10 @@ def save_checkpoint(path, cfg: CastConfig, params: CastParams) -> None:
     os.replace(tmp, path)
 
 
-def _utf8(raw: bytes, what: str) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"checkpoint {what} is not valid UTF-8: {e}") from None
-
-
 def load_checkpoint(path) -> tuple[CastConfig, CastParams]:
     """Load and validate a checkpoint. Shapes are checked against a skeleton
-    built from the embedded config; any mismatch raises CheckpointError."""
+    built from the embedded config; any mismatch, and any non-finite
+    weight, raises CheckpointError."""
     with open(path, "rb") as f:
         buf = f.read()
     if len(buf) < 14 or buf[:8] != CKPT_MAGIC:
@@ -557,7 +508,9 @@ def load_checkpoint(path) -> tuple[CastConfig, CastParams]:
     off = 14
     if len(buf) < off + cfg_len:
         raise FormatError("truncated checkpoint config block")
-    cfg = CastConfig.from_text(_utf8(buf[off:off + cfg_len], "config block"))
+    what = f"checkpoint {os.fspath(path)} config block"
+    cfg = kvtext.decode(CastConfig, kvtext.decode_utf8(buf[off:off + cfg_len], what), what)
+    cfg.validate()
     off += cfg_len
 
     loaded: dict[str, Tensor] = {}
@@ -568,7 +521,7 @@ def load_checkpoint(path) -> tuple[CastConfig, CastParams]:
         off += 2
         if len(buf) < off + name_len:
             raise FormatError("truncated checkpoint entry name")
-        name = _utf8(buf[off:off + name_len], "entry name")
+        name = kvtext.decode_utf8(buf[off:off + name_len], "checkpoint entry name")
         off += name_len
         if name in loaded:
             raise FormatError(f"duplicate checkpoint entry {name!r}")
@@ -587,5 +540,7 @@ def load_checkpoint(path) -> tuple[CastConfig, CastParams]:
         if src.shape != target.shape:
             raise CheckpointError(f"shape mismatch for {name}: checkpoint "
                                   f"{src.shape}, config wants {target.shape}")
+        if not np.all(np.isfinite(src.data)):
+            raise CheckpointError(f"non-finite values in {name}")
         target.data = src.data.astype(target.data.dtype, copy=True)
     return cfg, params

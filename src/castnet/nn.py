@@ -275,8 +275,7 @@ def attention(xq: Tensor, xkv: Tensor, heads: list[AttnHead], out_proj: Tensor,
     and one scaled_dot_attention covers them all. Head h draws its
     attention-dropout mask from derive_seed(seed, tag, h), per clip when
     seed holds one seed per clip. Returns (head outputs concatenated in
-    head order, then @ out_proj; attention weights averaged over the
-    heads, (..., n, m)).
+    head order, then @ out_proj; per-head attention weights, (H, ..., n, m)).
     """
     if xq.ndim < 2 or xkv.ndim < 2:
         raise ShapeMismatch(f"attention expects (..., n, d), got {xq.shape} and {xkv.shape}")
@@ -298,7 +297,7 @@ def attention(xq: Tensor, xkv: Tensor, heads: list[AttnHead], out_proj: Tensor,
     r = out.ndim  # (H, ..., n, d_h) -> (..., n, H, d_h) -> (..., n, H*d_h)
     merged = T.transpose(out, tuple(range(1, r - 1)) + (0, r - 1))
     merged = T.reshape(merged, merged.shape[:-2] + (n_heads * merged.shape[-1],))
-    return T.matmul(merged, out_proj), T.mean_axis0(attn)
+    return T.matmul(merged, out_proj), attn
 
 
 def mhsa(x: Tensor, p: MhsaParams, mode: str = "eval", seed=0) -> Tensor:

@@ -4,6 +4,7 @@ format. Inputs are already face-cropped frames; no detection happens here.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import struct
@@ -13,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyVideo, FormatError, InvalidRate
+from .kvtext import decode_utf8
 from .tensor import Tensor, tensor_from_bytes, tensor_to_bytes
 
 # ImageNet channel statistics; inputs are real-valued in [0,1] before this.
@@ -176,7 +178,7 @@ def clip_from_bytes(buf: bytes) -> FrameClip:
     off += 2
     if len(buf) < off + sid_len + 16:
         raise FormatError("truncated clip header")
-    source_id = buf[off:off + sid_len].decode("utf-8")
+    source_id = decode_utf8(buf[off:off + sid_len], "clip source id")
     off += sid_len
     f_orig, r = struct.unpack_from("<dd", buf, off)
     off += 16
@@ -224,21 +226,22 @@ def write_manifest(path, records: list[ClipRecord]) -> None:
 
 
 def read_manifest(path) -> list[ClipRecord]:
+    with open(path, "rb") as f:
+        text = decode_utf8(f.read(), f"manifest {os.fspath(path)}")
     records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            rel, label, split = parts
-            if label not in ("0", "1"):
-                raise FormatError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
-            if split not in ("train", "val", "test"):
-                raise FormatError(f"{path}:{lineno}: unknown split {split!r}")
-            records.append(ClipRecord(path=rel, label=int(label), split=split))
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        rel, label, split = parts
+        if label not in ("0", "1"):
+            raise FormatError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
+        if split not in ("train", "val", "test"):
+            raise FormatError(f"{path}:{lineno}: unknown split {split!r}")
+        records.append(ClipRecord(path=rel, label=int(label), split=split))
     return records
 
 

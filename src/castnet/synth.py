@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import kvtext
 from .errors import ConfigError, InvalidRegion
 from .preprocess import (
     ClipRecord,
@@ -47,7 +48,7 @@ class ArtifactSpec:
     kind: str = "flicker"
     amplitude: float = 0.25
     region: tuple[float, float, float, float] = (0.28, 0.32, 0.72, 0.56)  # x0,y0,x1,y1
-    temporal_period: int = 2
+    period: int = 2  # full cycle of the flicker and warp, in frames
 
     def validate(self) -> None:
         if self.kind not in ARTIFACT_KINDS:
@@ -56,8 +57,10 @@ class ArtifactSpec:
             raise ConfigError("artifact amplitude must be >= 0")
         if self.kind == "none" and self.amplitude != 0:
             raise ConfigError("artifact kind 'none' requires amplitude 0")
-        if self.temporal_period < 1:
-            raise ConfigError("temporal_period must be >= 1")
+        if self.period < 1:
+            raise ConfigError("artifact period must be >= 1")
+        if len(self.region) != 4:
+            raise InvalidRegion(f"region needs 4 coordinates, got {self.region}")
         x0, y0, x1, y1 = self.region
         if not (0 <= x0 < x1 <= 1 and 0 <= y0 < y1 <= 1):
             raise InvalidRegion(f"region must be a box inside [0,1]^2, got {self.region}")
@@ -93,7 +96,7 @@ class ShiftSpec:
     """Distribution shift applied by shifted_variant: artifact strength,
     background style, and region placement."""
     amplitude_scale: float = 1.0
-    background_style: Optional[str] = None
+    background: Optional[str] = None  # a background style, or None to keep it
     region_jitter: float = 0.0
 
 
@@ -205,7 +208,7 @@ def _apply_artifact(clip: np.ndarray, spec: ArtifactSpec) -> np.ndarray:
 
     if "warp" in kinds:
         for t in range(frames):
-            phase = 2 * np.pi * t / spec.temporal_period
+            phase = 2 * np.pi * t / spec.period
             sx = int(round(spec.amplitude * 0.5 * region_w * np.sin(phase)))
             sy = int(round(spec.amplitude * 0.5 * region_h * np.cos(phase)))
             patch = out[t, :, py0:py1, px0:px1]
@@ -214,7 +217,7 @@ def _apply_artifact(clip: np.ndarray, spec: ArtifactSpec) -> np.ndarray:
     if "flicker" in kinds:
         for t in range(frames):
             out[t, :, py0:py1, px0:px1] += spec.amplitude * _flicker_sign(
-                t, spec.temporal_period)
+                t, spec.period)
 
     if "texture_seam" in kinds:
         cols = np.arange(px0, px1)
@@ -269,31 +272,11 @@ def generate_dataset(cfg: SynthConfig, out_dir) -> DatasetManifest:
             records.append(ClipRecord(path=rel, label=label, split=split))
     manifest_path = os.path.join(out_dir, "manifest.tsv")
     write_manifest(manifest_path, records)
-    snapshot = config_snapshot(cfg)
+    snapshot = kvtext.encode(cfg)
     with open(os.path.join(out_dir, "gen_config.txt"), "w", encoding="utf-8") as f:
         f.write(snapshot)
     return DatasetManifest(records=records, manifest_path=manifest_path,
                            config_snapshot=snapshot)
-
-
-def config_snapshot(cfg: SynthConfig) -> str:
-    a = cfg.artifact
-    lines = [
-        f"artifact_amplitude={a.amplitude!r}",
-        f"artifact_kind={a.kind}",
-        f"artifact_period={a.temporal_period}",
-        f"artifact_region={','.join(repr(v) for v in a.region)}",
-        f"background_style={cfg.background_style}",
-        f"base_seed={cfg.base_seed}",
-        f"fake_fraction={cfg.fake_fraction!r}",
-        f"frames={cfg.frames}",
-        f"h={cfg.h}",
-        f"n_test={cfg.n_test}",
-        f"n_train={cfg.n_train}",
-        f"n_val={cfg.n_val}",
-        f"w={cfg.w}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def shifted_variant(cfg: SynthConfig, shift: ShiftSpec) -> SynthConfig:
@@ -303,9 +286,9 @@ def shifted_variant(cfg: SynthConfig, shift: ShiftSpec) -> SynthConfig:
     seed namespace so shifted clips are fresh draws."""
     if shift.amplitude_scale <= 0:
         raise ConfigError("amplitude_scale must be positive")
-    if shift.background_style is not None and shift.background_style not in BACKGROUND_STYLES:
-        raise ConfigError(f"unknown background style {shift.background_style!r}")
-    identity = (shift.amplitude_scale == 1.0 and shift.background_style is None
+    if shift.background is not None and shift.background not in BACKGROUND_STYLES:
+        raise ConfigError(f"unknown background style {shift.background!r}")
+    identity = (shift.amplitude_scale == 1.0 and shift.background is None
                 and shift.region_jitter == 0.0)
     if identity:
         return replace(cfg)
@@ -316,10 +299,10 @@ def shifted_variant(cfg: SynthConfig, shift: ShiftSpec) -> SynthConfig:
     artifact = replace(cfg.artifact,
                        amplitude=cfg.artifact.amplitude * shift.amplitude_scale,
                        region=(x0 + dx, y0 + dy, x1 + dx, y1 + dy))
-    shift_token = (f"{shift.amplitude_scale!r}|{shift.background_style}|"
+    shift_token = (f"{shift.amplitude_scale!r}|{shift.background}|"
                    f"{shift.region_jitter!r}")
     return replace(cfg, artifact=artifact,
-                   background_style=shift.background_style or cfg.background_style,
+                   background_style=shift.background or cfg.background_style,
                    base_seed=derive_seed(cfg.base_seed, "shift", shift_token))
 
 

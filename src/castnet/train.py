@@ -4,7 +4,7 @@ the training loop with best-validation checkpointing."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -18,18 +18,20 @@ from .seeding import derive_seed
 from .tensor import GradientMap, Tensor, stable_sigmoid
 
 
+# Adam's decay rates and epsilon: the usual defaults, which no caller changes
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class TrainConfig:
     lr: float = 1e-4
     weight_decay: float = 1e-5
     batch_size: int = 8
     max_epochs: int = 25
-    dropout: float = 0.3
     loss_scale: float = 1.0
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def validate(self) -> None:
         if self.lr <= 0 or self.loss_scale <= 0:
@@ -38,8 +40,6 @@ class TrainConfig:
             raise ConfigError("batch_size and max_epochs must be >= 1")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be >= 0")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
 
 
 def bce_with_logits(logit: Union[Tensor, float], y):
@@ -94,8 +94,8 @@ def adam_step(params: Sequence[Tensor], grads: GradientMap, state: AdamState,
 
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for p, g in zip(params, unscaled):
         if cfg.weight_decay:
             g = g + cfg.weight_decay * p.data
@@ -107,10 +107,10 @@ def adam_step(params: Sequence[Tensor], grads: GradientMap, state: AdamState,
             v = np.zeros_like(p.data)
         else:
             m, v = prev
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * (g * g)
         state.moments[p.node_id] = (m, v)
-        p.data = p.data - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+        p.data = p.data - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return True
 
 
@@ -174,7 +174,6 @@ def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
     """Train with seeded shuffling, save the checkpoint whenever validation
     loss strictly improves, and write a per-epoch history file."""
     cfg.validate()
-    model_cfg = replace(model_cfg, dropout=cfg.dropout)
     model_cfg.validate()
     train_set = load_split(train_manifest, "train")
     val_set = load_split(val_manifest, "val")

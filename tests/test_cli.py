@@ -45,7 +45,7 @@ class TestConfigParsing:
         cfg = parse_experiment_text("[output]\ndir=x\n")
         assert cfg.synth.n_train == 400
         assert cfg.model.variant == "full"
-        assert cfg.out_dir == "x"
+        assert cfg.output.dir == "x"
 
     def test_unknown_key_names_key_and_line(self):
         text = "[synth]\nn_train=4\nwobble=1\n"
@@ -69,6 +69,22 @@ class TestConfigParsing:
         cfg = parse_experiment_text("# top\n\n[synth]\n# inner\nn_train=3\n")
         assert cfg.synth.n_train == 3
 
+    def test_nested_and_renamed_fields_keep_their_keys(self):
+        cfg = parse_experiment_text("[synth]\nartifact_period=3\nartifact_kind=warp\n"
+                                    "[ablation]\nshift_background=blotchy\n"
+                                    "shift_region_jitter=0.0\n[evaluation]\nmanifest=none\n")
+        assert cfg.synth.artifact.period == 3 and cfg.synth.artifact.kind == "warp"
+        assert cfg.ablation.shift.background == "blotchy"
+        assert cfg.ablation.shift.region_jitter == 0.0
+        assert cfg.ablation.shift.amplitude_scale == 0.6  # the ablation default
+        assert cfg.evaluation.manifest is None
+
+    def test_non_utf8_config_is_config_error(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"[synth]\nn_train=4\xff\n")
+        with pytest.raises(ConfigError, match="UTF-8"):
+            load_experiment_config(path)
+
 
 class TestCmdGen:
     def test_valid_config_exits_zero(self, tmp_path, capsys):
@@ -83,6 +99,19 @@ class TestCmdGen:
         path.write_text("[synth]\nbogus_key=1\n")
         assert cli.main(["gen", "--config", str(path)]) == 2
         assert "bogus_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key", [("training", "dropout"), ("evaluation", "mode")])
+    def test_removed_key_exits_two(self, tmp_path, capsys, section, key):
+        path = write_config(tmp_path, **{section: {key: "clip" if key == "mode" else 0.3}})
+        assert cli.main(["gen", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown key '{key}' in section [{section}]" in err
+
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(config_text().encode() + b"# \xff\n")
+        assert cli.main(["gen", "--config", str(path)]) == 2
+        assert "UTF-8" in capsys.readouterr().err
 
     def test_missing_config_exits_two(self, tmp_path):
         assert cli.main(["gen", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -107,6 +136,14 @@ class TestCmdTrain:
         assert "best_val_loss" in out
         assert (tmp_path / "out" / "train" / "best.ckpt").exists()
         assert (tmp_path / "out" / "train" / "history.tsv").exists()
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_model_dropout_reaches_trained_model(self, tmp_path, dropout):
+        cfg_path = write_config(tmp_path, model={"dropout": dropout})
+        assert cli.main(["gen", "--config", str(cfg_path)]) == 0
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        cfg, _ = M.load_checkpoint(tmp_path / "out" / "train" / "best.ckpt")
+        assert cfg.dropout == dropout
 
     def test_missing_manifest_exits_two(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -236,6 +273,40 @@ class TestCmdEval:
                          "--out", str(tmp_path / "rep")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_weight_exits_four(self, tiny_dataset, tmp_path, capsys):
+        cfg = tiny_model_cfg()
+        params = M.init_cast_params(cfg, seed=5)
+        params.classifier_b.data[:] = np.nan
+        path = tmp_path / "nan.ckpt"
+        M.save_checkpoint(path, cfg, params)
+        code = cli.main(["eval", "--checkpoint", str(path),
+                         "--manifest", str(tiny_dataset["manifest"]),
+                         "--out", str(tmp_path / "rep")])
+        assert code == 4
+        assert "classifier.bias" in capsys.readouterr().err
+
+    def test_non_utf8_manifest_exits_two(self, zero_classifier_ckpt, tmp_path, capsys):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_bytes(b"clip\xff.castclip\t1\ttest\n")
+        code = cli.main(["eval", "--checkpoint", str(zero_classifier_ckpt),
+                         "--manifest", str(manifest), "--out", str(tmp_path / "rep")])
+        assert code == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_clip_source_id_exits_two(self, tiny_dataset, zero_classifier_ckpt,
+                                               tmp_path, capsys):
+        rel = "test/clip_00000.castclip"
+        buf = (tiny_dataset["dir"] / rel).read_bytes()
+        (tmp_path / "test").mkdir()
+        # the source id starts after magic (8), version u16, label i8, length u16
+        (tmp_path / rel).write_bytes(buf[:13] + b"\xff" + buf[14:])
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(f"{rel}\t1\ttest\n")
+        code = cli.main(["eval", "--checkpoint", str(zero_classifier_ckpt),
+                         "--manifest", str(manifest), "--out", str(tmp_path / "rep")])
+        assert code == 2
+        assert "UTF-8" in capsys.readouterr().err
 
 
 class TestCmdAblate:

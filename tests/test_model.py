@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from castnet import kvtext
 from castnet import model as M
 from castnet import nn
 from castnet import tensor as T
@@ -36,19 +37,19 @@ def make_clip(cfg, seed=0, h=8, w=8, label=1):
 class TestConfig:
     def test_round_trip_text(self):
         cfg = tiny_cfg(variant="multi_scale", eval_logit_mode="clip")
-        back = M.CastConfig.from_text(cfg.to_text())
+        back = kvtext.decode(M.CastConfig, kvtext.encode(cfg), "<ckpt>")
         assert back == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            M.CastConfig.from_text("wibble=3\n")
+            kvtext.decode(M.CastConfig, "wibble=3\n", "<ckpt>")
 
     @pytest.mark.parametrize("line", ["d=x", "dropout=abc", "backbone_channels=4,x",
                                       "backbone_channels="])
     def test_non_numeric_value_names_key(self, line):
         key = line.split("=")[0]
         with pytest.raises(ConfigError, match=f"'{key}'"):
-            M.CastConfig.from_text(tiny_cfg().to_text() + line + "\n")
+            kvtext.decode(M.CastConfig, kvtext.encode(tiny_cfg()) + line + "\n", "<ckpt>")
 
     def test_no_projection_requires_matching_dims(self):
         with pytest.raises(ConfigError):
@@ -225,7 +226,7 @@ class TestCrossAttention:
         z_hat, attn = nn.attention(z, s_mean, fusion.heads, fusion.out_proj,
                                    0.0, "eval", 0, "fusion_head")
         e = np.e
-        np.testing.assert_allclose(attn.data, [[e / (1 + e), 1 / (1 + e)]], atol=1e-12)
+        np.testing.assert_allclose(attn.data, [[[e / (1 + e), 1 / (1 + e)]]], atol=1e-12)
         np.testing.assert_allclose(z_hat.data, [[e / (1 + e)]], atol=1e-12)
 
     def test_single_spatial_token_attends_fully(self):
@@ -511,6 +512,28 @@ class TestMultiScale:
 
 
 class TestCheckpoint:
+    def test_default_config_block_format(self, tmp_path):
+        # the block written since checkpoint version 1; older files must load
+        cfg = M.CastConfig()
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, cfg, M.init_cast_params(cfg, seed=70))
+        buf = path.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", buf, 10)
+        assert buf[14:14 + cfg_len] == (
+            b"backbone_channels=16,32,64\nclip_len=16\nd=64\ndropout=0.3\n"
+            b"encoder_layers=2\neval_logit_mode=frame_mean\nffn_dim=256\n"
+            b"fusion_heads=4\nheads=4\nkernel=3\nstride=2\nvariant=full\n")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_is_checkpoint_error(self, tmp_path, bad):
+        cfg = tiny_cfg()
+        params = M.init_cast_params(cfg, seed=71)
+        params.classifier_b.data[:] = bad
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, cfg, params)
+        with pytest.raises(CheckpointError, match="classifier.bias"):
+            M.load_checkpoint(path)
+
     def test_round_trip_bitwise(self, tmp_path):
         cfg = tiny_cfg(variant="multi_scale")
         params = M.init_cast_params(cfg, seed=60)

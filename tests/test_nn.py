@@ -467,12 +467,16 @@ def per_head_attention(xq, xkv, heads, out_proj, drop_rate, mode, seed, tag):
 
 
 class TestAttention:
-    """nn.attention (heads as a batch axis) against the per-head reference."""
+    """nn.attention (heads as a batch axis) against the per-head reference;
+    the tests average nn.attention's per-head weights themselves."""
 
     @staticmethod
     def _run(fn, xq, xkv, p, drop_rate, mode, seed, r_out, r_attn):
         T.reset_graph()
         out, attn = fn(xq, xkv, p.heads, p.out_proj, drop_rate, mode, seed, "tag")
+        if fn is nn.attention:
+            assert attn.shape[0] == len(p.heads)
+            attn = T.mean_axis0(attn)
         loss = T.add(T.sum_all(T.mul(out, r_out)), T.sum_all(T.mul(attn, r_attn)))
         grads = T.backward(loss)
         tensors = [xq, xkv, p.out_proj] + [w for h in p.heads for w in (h.wq, h.wk, h.wv)]
@@ -512,6 +516,7 @@ class TestAttention:
 
         def build():
             out, attn = nn.attention(xq, xkv, p.heads, p.out_proj, 0.3, "train", 5, "tag")
+            attn = T.mean_axis0(attn)
             return T.add(T.sum_all(T.mul(out, r_out)), T.sum_all(T.mul(attn, r_attn)))
 
         assert T.grad_check(build, params) < 1e-6

@@ -181,6 +181,12 @@ class TestClipFiles:
         with pytest.raises(FormatError):
             pp.read_clip(path)
 
+    def test_non_utf8_source_id_is_format_error(self):
+        buf = bytearray(pp.clip_to_bytes(self._clip()))
+        buf[13] = 0xFF  # first source id byte, after magic, version, label, length
+        with pytest.raises(FormatError, match="UTF-8"):
+            pp.clip_from_bytes(bytes(buf))
+
     def test_absent_label_round_trips_as_absent(self, tmp_path):
         clip = self._clip(label=None)
         path = tmp_path / "clip.castclip"
@@ -205,3 +211,15 @@ class TestManifest:
         path.write_text("a.castclip\t2\ttrain\n")
         with pytest.raises(FormatError):
             pp.read_manifest(path)
+
+    def test_non_utf8_is_format_error(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_bytes(b"a\xff.castclip\t1\ttrain\n")
+        with pytest.raises(FormatError, match="UTF-8"):
+            pp.read_manifest(path)
+
+    def test_crlf_lines_read_like_lf(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_bytes(b"a.castclip\t1\ttrain\r\nb.castclip\t0\tval\r\n")
+        assert pp.read_manifest(path) == [pp.ClipRecord("a.castclip", 1, "train"),
+                                          pp.ClipRecord("b.castclip", 0, "val")]

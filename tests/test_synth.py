@@ -47,7 +47,7 @@ class TestGenerateClip:
             assert np.all(diff == 0.0), kind
 
     def test_flicker_alternates_with_period_two(self):
-        spec = synth.ArtifactSpec(kind="flicker", amplitude=0.25, temporal_period=2)
+        spec = synth.ArtifactSpec(kind="flicker", amplitude=0.25, period=2)
         fake = synth.generate_clip(99, 1, spec, frames=16)
         px0, py0, px1, py1 = synth.region_pixels(spec.region, 32, 32)
         series = fake.frames.data[:, :, py0:py1, px0:px1].mean(axis=(1, 2, 3))
@@ -74,6 +74,9 @@ class TestGenerateClip:
             synth.ArtifactSpec(kind="none", amplitude=0.1).validate()
         with pytest.raises(InvalidRegion):
             synth.ArtifactSpec(region=(0.5, 0.1, 0.4, 0.9)).validate()
+        for region in [(0.1, 0.1, 0.9), (0.1, 0.1, 0.5, 0.5, 0.9)]:
+            with pytest.raises(InvalidRegion):
+                synth.ArtifactSpec(region=region).validate()
 
 
 class TestGenerateDataset:
@@ -90,6 +93,17 @@ class TestGenerateDataset:
         synth.generate_dataset(cfg, d2)
         assert synth.dataset_checksum(d1) == synth.dataset_checksum(d2)
         assert (d1 / "manifest.tsv").read_bytes() == (d2 / "manifest.tsv").read_bytes()
+
+    def test_gen_config_format(self, tmp_path):
+        # one sorted key=value line per experiment-config [synth] key
+        cfg = synth.SynthConfig(n_train=1, n_val=1, n_test=1)
+        manifest = synth.generate_dataset(cfg, tmp_path)
+        text = (tmp_path / "gen_config.txt").read_text(encoding="utf-8")
+        assert text == manifest.config_snapshot == (
+            "artifact_amplitude=0.25\nartifact_kind=flicker\nartifact_period=2\n"
+            "artifact_region=0.28,0.32,0.72,0.56\nbackground_style=smooth_gradient\n"
+            "base_seed=0\nfake_fraction=0.5\nframes=16\nh=32\nn_test=1\nn_train=1\n"
+            "n_val=1\nw=32\n")
 
     def test_splits_disjoint_source_ids(self, tmp_path):
         synth.generate_dataset(small_cfg(), tmp_path)

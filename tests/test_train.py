@@ -17,6 +17,7 @@ from castnet.errors import (
     ShapeMismatch,
 )
 from castnet.train import (
+    ADAM_EPS,
     AdamState,
     TrainConfig,
     adam_step,
@@ -108,7 +109,7 @@ class TestAdamStep:
         state = AdamState()
         cfg = TrainConfig(lr=1e-4, weight_decay=0.0)
         adam_step([p], _grad_map_for([p], [g.copy()]), state, cfg)
-        expected = 1.0 - cfg.lr * g / (np.abs(g) + cfg.adam_eps)
+        expected = 1.0 - cfg.lr * g / (np.abs(g) + ADAM_EPS)
         np.testing.assert_allclose(p.data, expected, atol=1e-15)
         # every coordinate moved by ~ lr in the direction opposing g
         np.testing.assert_allclose(np.abs(1.0 - p.data), cfg.lr, rtol=1e-6)
