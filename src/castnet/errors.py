@@ -38,7 +38,7 @@ class EmptyVideo(CastError):
 
 
 class FormatError(CastError):
-    """A serialized tensor, clip, or checkpoint stream is malformed."""
+    """A serialized tensor, clip, checkpoint or PGM stream is malformed."""
 
 
 class InvalidRegion(CastError):

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .errors import ConfigError, UnsupportedVariant
+from .errors import ConfigError, FormatError, UnsupportedVariant
 from .preprocess import read_clip
 
 
@@ -42,18 +42,25 @@ def write_pgm(path, img: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """Read a binary PGM as write_pgm writes it ("P5", width and height,
+    maxval 255, then H*W bytes); any other header or payload size raises
+    FormatError."""
     with open(path, "rb") as f:
         buf = f.read()
-    if not buf.startswith(b"P5\n"):
-        raise ConfigError("not a binary P5 PGM")
-    rest = buf[3:]
-    dims_end = rest.index(b"\n")
-    w, h = (int(v) for v in rest[:dims_end].split())
-    rest = rest[dims_end + 1:]
-    maxval_end = rest.index(b"\n")
-    payload = rest[maxval_end + 1:]
+    parts = buf.split(b"\n", 3)
+    if len(parts) != 4 or parts[0] != b"P5":
+        raise FormatError("not a binary P5 PGM")
+    dims = parts[1].split()
+    if len(dims) != 2 or not all(v.isdigit() for v in dims):
+        raise FormatError(f"bad PGM dimensions line {parts[1][:40]!r}")
+    w, h = (int(v) for v in dims)
+    if w < 1 or h < 1:
+        raise FormatError(f"PGM dimensions {w}x{h} must be positive")
+    if parts[2] != b"255":
+        raise FormatError(f"PGM maxval {parts[2][:40]!r}, expected 255")
+    payload = parts[3]
     if len(payload) != h * w:
-        raise ConfigError(f"PGM payload has {len(payload)} bytes, expected {h * w}")
+        raise FormatError(f"PGM payload has {len(payload)} bytes, expected {h * w}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
 
 

@@ -263,6 +263,25 @@ def init_cast_params(cfg: CastConfig, seed: int) -> CastParams:
                       multi_scale_proj=multi_scale_proj)
 
 
+def param_count(cfg: CastConfig) -> int:
+    """Number of weights init_cast_params(cfg) builds, computed without
+    building them."""
+    d, ffn = cfg.d, cfg.ffn_dim
+    chans = (3,) + tuple(cfg.backbone_channels)
+    n = sum(o * (i * cfg.kernel ** 2 + 1) for i, o in zip(chans, chans[1:]))
+    if cfg.variant != "no_projection":
+        n += 2 * d * (cfg.backbone_out_channels + 1)  # spatial and temporal
+    n += cfg.clip_len * d  # pos_embed
+    n += cfg.encoder_layers * (4 * d + 4 * d * d + 2 * d * ffn + ffn + d)
+    if cfg.variant in _CROSS_ATTN_VARIANTS:
+        n += 4 * d * d + 3 * d
+    elif cfg.variant == "decoupled_self_attention":
+        n += 2 * 4 * d * d + 2 * d * d + d
+    if cfg.variant == "multi_scale":
+        n += d * (sum(cfg.backbone_channels) + 1)
+    return n + d + 1  # classifier
+
+
 # ---------------------------------------------------------------------------
 # forward pieces
 
@@ -495,8 +514,9 @@ def save_checkpoint(path, cfg: CastConfig, params: CastParams) -> None:
 
 def load_checkpoint(path) -> tuple[CastConfig, CastParams]:
     """Load and validate a checkpoint. Shapes are checked against a skeleton
-    built from the embedded config; any mismatch, and any non-finite
-    weight, raises CheckpointError."""
+    built from the embedded config, once the file is known to hold as many
+    weights as the skeleton; any mismatch, and any non-finite weight,
+    raises CheckpointError."""
     with open(path, "rb") as f:
         buf = f.read()
     if len(buf) < 14 or buf[:8] != CKPT_MAGIC:
@@ -528,6 +548,12 @@ def load_checkpoint(path) -> tuple[CastConfig, CastParams]:
         tensor, off = tensor_from_bytes(buf, off)
         loaded[name] = tensor
 
+    # the skeleton is as large as the config says; refuse to build one that
+    # the weights in the file cannot fill
+    n_file, n_cfg = sum(t.data.size for t in loaded.values()), param_count(cfg)
+    if n_file != n_cfg:
+        raise CheckpointError(f"checkpoint holds {n_file} weights, its config "
+                              f"wants {n_cfg}")
     params = init_cast_params(cfg, seed=0)
     expected = params.named_parameters()
     missing = sorted(set(expected) - set(loaded))

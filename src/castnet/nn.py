@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .errors import ConfigError, InvalidRate, ShapeMismatch
@@ -58,10 +57,25 @@ class MhsaParams:
 # convolution
 
 
+def _tap_span(offset: int, stride: int, pad: int, size: int, out_size: int):
+    """For one kernel tap along one axis: the output positions whose input
+    falls inside the image, and the matching strided input slice, or None
+    when every position of the tap reads padding."""
+    lo = max(0, -((offset - pad) // stride))
+    hi = min(out_size, (size - 1 + pad - offset) // stride + 1)
+    if lo >= hi:
+        return None
+    start = lo * stride + offset - pad
+    return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
+
+
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     """2-D convolution (cross-correlation) over (C,H,W) or batched (N,C,H,W).
 
-    H_out = floor((H + 2*pad - kh)/stride) + 1, likewise for W.
+    H_out = floor((H + 2*pad - kh)/stride) + 1, likewise for W. Padding is
+    never materialised: each kernel tap copies only the input it reads from
+    inside the image into a zeroed column buffer, and the backward fold adds
+    each tap's gradient straight back onto the input.
     """
     batched = x.ndim == 4
     if not batched and x.ndim != 3:
@@ -78,32 +92,36 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     h_out = (hp - kh) // s + 1
     w_out = (wp - kw) // s + 1
 
-    xpad = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
-    # im2col: (n, h_out, w_out, c, kh, kw) -> (n*h_out*w_out, c*kh*kw)
-    win = sliding_window_view(xpad, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(-1, c * kh * kw)
+    # taps[(i, j)] = (out_rows, out_cols, in_rows, in_cols) of tap (i, j)
+    row_spans = [_tap_span(i, s, pad, h, h_out) for i in range(kh)]
+    col_spans = [_tap_span(j, s, pad, w, w_out) for j in range(kw)]
+    taps = {(i, j): (rs[0], cs[0], rs[1], cs[1])
+            for i, rs in enumerate(row_spans) if rs is not None
+            for j, cs in enumerate(col_spans) if cs is not None}
+
+    # im2col: (n, c, kh, kw, h_out, w_out) -> (n, c*kh*kw, h_out*w_out)
+    cols = np.zeros((n, c, kh, kw, h_out, w_out), dtype=xd.dtype)
+    for (i, j), (ro, co, ri, ci) in taps.items():
+        cols[:, :, i, j, ro, co] = xd[:, :, ri, ci]
+    cols = cols.reshape(n, c * kh * kw, h_out * w_out)
     kmat = p.kernel.data.reshape(out_ch, -1)
-    out = (cols @ kmat.T).reshape(n, h_out, w_out, out_ch).transpose(0, 3, 1, 2)
-    out = np.ascontiguousarray(out) + p.bias.data[None, :, None, None]
+    out = np.matmul(kmat, cols).reshape(n, out_ch, h_out, w_out)
+    out += p.bias.data[None, :, None, None]
     if not batched:
         out = out[0]
 
     need_gx = x.requires_grad
 
     def bwd(g):
-        gm = (g if batched else g[None]).transpose(0, 2, 3, 1).reshape(-1, out_ch)
-        gbias = gm.sum(axis=0)
-        gkernel = (gm.T @ cols).reshape(p.kernel.shape)
+        gm = (g if batched else g[None]).reshape(n, out_ch, h_out * w_out)
+        gbias = gm.sum(axis=(0, 2))
+        gkernel = np.tensordot(gm, cols, axes=([0, 2], [0, 2])).reshape(p.kernel.shape)
         if not need_gx:  # e.g. the clip frames at stage 0
             return None, gkernel, gbias
-        gcols = gm @ kmat  # (n*h_out*w_out, c*kh*kw)
-        gcols = gcols.reshape(n, h_out, w_out, c, kh, kw)
-        gxpad = np.zeros((n, c, hp, wp), dtype=g.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gxpad[:, :, i:i + s * h_out:s, j:j + s * w_out:s] += \
-                    gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        gx = gxpad[:, :, pad:pad + h, pad:pad + w] if pad else gxpad
+        gcols = np.matmul(kmat.T, gm).reshape(n, c, kh, kw, h_out, w_out)
+        gx = np.zeros((n, c, h, w), dtype=g.dtype)
+        for (i, j), (ro, co, ri, ci) in taps.items():
+            gx[:, :, ri, ci] += gcols[:, :, i, j, ro, co]
         return (gx if batched else gx[0]), gkernel, gbias
 
     return apply_op("conv2d", out, (x, p.kernel, p.bias), bwd)

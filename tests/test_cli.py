@@ -1,6 +1,7 @@
 """CLI contract: verbs, exit codes, printed output, artifact validity."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from castnet import model as M
 from castnet import synth
 from castnet import tensor as T
 from castnet.config import load_experiment_config, parse_experiment_text
-from castnet.errors import ConfigError
+from castnet.errors import ConfigError, FormatError
 from conftest import tiny_model_cfg
 
 
@@ -252,6 +253,29 @@ class TestCmdEval:
         assert code == 4
         assert "'d'" in capsys.readouterr().err
 
+    def test_oversized_config_exits_four_before_allocating(self, tiny_dataset,
+                                                           zero_classifier_ckpt, tmp_path):
+        # a 13 KB file whose config block asks for ~40M weights (~320 MB)
+        buf = zero_classifier_ckpt.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", buf, 10)
+        block = buf[14:14 + cfg_len]
+        for old, new in ((b"\nd=8\n", b"\nd=2048\n"), (b"\nffn_dim=16\n", b"\nffn_dim=2048\n")):
+            assert block.count(old) == 1
+            block = block.replace(old, new)
+        path = tmp_path / "big.ckpt"
+        path.write_bytes(buf[:10] + struct.pack("<I", len(block)) + block
+                         + buf[14 + cfg_len:])
+        tracemalloc.start()
+        try:
+            code = cli.main(["eval", "--checkpoint", str(path),
+                             "--manifest", str(tiny_dataset["manifest"]),
+                             "--out", str(tmp_path / "rep")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert peak < 4 * 2 ** 20
+
     @pytest.mark.parametrize("fault", ["config_block", "entry_name", "duplicate_entry"])
     def test_malformed_checkpoint_exits_two(self, tiny_dataset, zero_classifier_ckpt,
                                             tmp_path, fault, capsys):
@@ -413,3 +437,13 @@ class TestHeatmapRendering:
         img = (np.arange(48).reshape(6, 8) * 5).astype(np.uint8)
         H.write_pgm(tmp_path / "x.pgm", img)
         np.testing.assert_array_equal(H.read_pgm(tmp_path / "x.pgm"), img)
+
+    @pytest.mark.parametrize("buf", [b"P5\n2 2", b"P5\n2\n255\n\x00\x00",
+                                     b"P5\nx 2\n255\n\x00\x00", b"P5\n-1 -2\n255\n\x00\x00",
+                                     b"P5\n0 2\n255\n", b"P5\n1 2\n65535\n\x00\x00",
+                                     b"P5\n1 2\n255\n\x00", b"P2\n1 1\n255\n\x00"])
+    def test_malformed_pgm_is_format_error(self, tmp_path, buf):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(buf)
+        with pytest.raises(FormatError):
+            H.read_pgm(path)

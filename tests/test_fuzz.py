@@ -1,11 +1,13 @@
-"""Seeded mutation fuzz over the tensor, clip, checkpoint, manifest and
-experiment-config parsers: whatever the bytes, only a CastError escapes.
+"""Seeded mutation fuzz over the tensor, clip, checkpoint, manifest,
+experiment-config and PGM parsers: whatever the bytes, only a CastError
+escapes.
 
 Each parser gets well-formed input with one to three byte-level mutations
 (overwrite, insert, delete a short run, splice in a token, truncate). The
 seeds are fixed, so a failure reproduces exactly. A number grows by a few
-digits at most, which matters for checkpoints: load_checkpoint allocates
-its skeleton from the embedded config before it checks any shape.
+digits at most. For checkpoints a grown dimension costs no allocation
+either way: load_checkpoint compares the weights its config asks for with
+the weights in the file before it builds the skeleton.
 """
 
 from dataclasses import fields
@@ -13,6 +15,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from castnet import heatmap as H
 from castnet import kvtext
 from castnet import model as M
 from castnet import preprocess as pp
@@ -72,7 +75,7 @@ def _from_file(tmp_path, load):
 
 @pytest.mark.parametrize("parser,count", [("tensor", 400), ("clip", 400),
                                           ("checkpoint", 300), ("manifest", 400),
-                                          ("config", 1500)])
+                                          ("config", 1500), ("pgm", 400)])
 def test_only_cast_errors_escape(tmp_path, parser, count):
     seed_input, parse = {
         "tensor": lambda: (T.tensor_to_bytes(T.uniform((2, 3), -1, 1, seed=2)),
@@ -83,10 +86,12 @@ def test_only_cast_errors_escape(tmp_path, parser, count):
         "manifest": lambda: (b"train/a.castclip\t1\ttrain\nval/b.castclip\t0\tval\n",
                              _from_file(tmp_path, pp.read_manifest)),
         "config": lambda: (_config_bytes(), _from_file(tmp_path, load_experiment_config)),
+        "pgm": lambda: (b"P5\n4 3\n255\n" + bytes(range(10, 130, 10)),
+                        _from_file(tmp_path, H.read_pgm)),
     }[parser]()
     parse(seed_input)  # the unmutated input parses
     rng = np.random.default_rng(["tensor", "clip", "checkpoint", "manifest",
-                                 "config"].index(parser))
+                                 "config", "pgm"].index(parser))
     escaped = []
     with np.errstate(all="ignore"):
         for i in range(count):

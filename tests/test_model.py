@@ -2,6 +2,7 @@
 variants, classification linearity, and checkpoint round trips."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -609,6 +610,23 @@ class TestCheckpoint:
         path, buf, first, end = self._saved(tmp_path, 68)
         path.write_bytes(buf + buf[first:end])
         with pytest.raises(FormatError):
+            M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    @pytest.mark.parametrize("kw", [dict(), dict(kernel=5, encoder_layers=0, clip_len=3,
+                                                 backbone_channels=(4, 6, 9), d=6,
+                                                 heads=3, fusion_heads=3)])
+    def test_param_count_matches_skeleton(self, variant, kw):
+        cfg = tiny_cfg(variant=variant, **kw)
+        if variant == "no_projection":
+            cfg = replace(cfg, d=cfg.backbone_out_channels, heads=1, fusion_heads=1)
+        params = M.init_cast_params(cfg, seed=0)
+        assert M.param_count(cfg) == sum(t.data.size for t in params.all_tensors())
+
+    def test_weight_count_mismatch_is_checkpoint_error(self, tmp_path):
+        path, buf, first, end = self._saved(tmp_path, 65)
+        path.write_bytes(buf[:first] + buf[end:])  # drop the first entry
+        with pytest.raises(CheckpointError, match="weights"):
             M.load_checkpoint(path)
 
     def test_variant_mismatch_between_params_and_config(self, tmp_path):

@@ -57,6 +57,27 @@ class TestConv2d:
         np.testing.assert_allclose(got, conv2d_oracle(x, k, b, stride, pad),
                                    atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("stride,pad,k,shape", [
+        (3, 0, 3, (2, 8, 8)),
+        (3, 1, 3, (2, 9, 7)),
+        (1, 0, 1, (2, 5, 6)),
+        (2, 1, 1, (2, 7, 5)),
+        (1, 2, 5, (2, 6, 9)),
+        (2, 2, 5, (3, 7, 6)),
+        (1, 2, 3, (2, 5, 8)),
+        (3, 2, 3, (2, 2, 2)),  # kernel row 1 and column 1 read only padding
+        (2, 1, 3, (2, 2, 7, 5)),
+    ])
+    def test_edge_cases_against_loop_oracle(self, stride, pad, k, shape):
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-2, 2, shape)
+        kern = rng.uniform(-1, 1, (3, shape[-3], k, k))
+        b = rng.uniform(-1, 1, 3)
+        p = nn.Conv2dParams(kernel=T.Tensor(kern), bias=T.Tensor(b), stride=stride, padding=pad)
+        got = nn.conv2d(T.Tensor(x), p).data
+        want = np.stack([conv2d_oracle(xi, kern, b, stride, pad) for xi in x.reshape((-1,) + shape[-3:])])
+        np.testing.assert_allclose(got, want.reshape(got.shape), atol=1e-12, rtol=0)
+
     def test_output_shape_formula(self):
         x = T.zeros((3, 11, 9))
         p = nn.Conv2dParams(kernel=T.zeros((5, 3, 3, 3)), bias=T.zeros((5,)),
@@ -86,6 +107,20 @@ class TestConv2d:
         b = T.Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
         p = nn.Conv2dParams(kernel=k, bias=b, stride=2, padding=1)
         r = T.Tensor(rng.uniform(0.5, 1.5, (3, 3, 3)))
+
+        def build():
+            return T.sum_all(T.mul(nn.conv2d(x, p), r))
+
+        assert T.grad_check(build, [x, k, b], eps=1e-5) < 1e-6
+
+    @pytest.mark.parametrize("stride,pad", [(2, 1), (3, 2)])
+    def test_batched_gradients(self, stride, pad):
+        rng = np.random.default_rng(13)
+        x = T.Tensor(rng.uniform(-1, 1, (2, 2, 7, 6)), requires_grad=True)
+        k = T.Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
+        b = T.Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+        p = nn.Conv2dParams(kernel=k, bias=b, stride=stride, padding=pad)
+        r = T.Tensor(rng.uniform(0.5, 1.5, nn.conv2d(x, p).shape))
 
         def build():
             return T.sum_all(T.mul(nn.conv2d(x, p), r))
