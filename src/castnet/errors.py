@@ -46,7 +46,7 @@ class InvalidRegion(CastError):
 
 
 class DivergenceError(CastError):
-    """Training produced non-finite losses for an entire epoch."""
+    """Training produced non-finite losses or gradients for an entire epoch."""
 
 
 class EmptyEval(CastError):

@@ -55,6 +55,8 @@ def encode(obj) -> str:
 
 
 def _parse(default, text: str):
+    if "\0" in text:
+        raise ValueError("NUL byte")  # no path or name may hold one
     if default is None:
         return None if text.lower() in ("", "none") else text
     if isinstance(default, tuple):

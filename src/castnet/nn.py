@@ -250,7 +250,7 @@ def dropout(x: Tensor, rate: float, mode: str, seed=0) -> Tensor:
         raise ConfigError(f"unknown dropout mode '{mode}'")
     if mode == "eval" or rate == 0.0:
         return x
-    factor = _keep_mask(seed, x.shape, rate) * (1.0 / (1.0 - rate))
+    factor = _keep_mask(seed, x.shape, rate) * x.dtype.type(1.0 / (1.0 - rate))
     return apply_op("dropout", x.data * factor, (x,), lambda g: (g * factor,))
 
 

@@ -1,5 +1,5 @@
-"""Frame sampling arithmetic, normalization, resizing, and the clip file
-format. Inputs are already face-cropped frames; no detection happens here.
+"""Frame sampling arithmetic, normalization, and the clip file format.
+Inputs are already face-cropped frames; no detection happens here.
 """
 
 from __future__ import annotations
@@ -116,36 +116,6 @@ def normalize_frame(frame: Tensor, spec: NormalizationSpec = NormalizationSpec()
     return Tensor((frame.data - mean) / std, dtype=frame.data.dtype)
 
 
-def denormalize_frame(frame: Tensor, spec: NormalizationSpec = NormalizationSpec()) -> Tensor:
-    mean = np.asarray(spec.mean, dtype=frame.data.dtype)[:, None, None]
-    std = np.asarray(spec.std, dtype=frame.data.dtype)[:, None, None]
-    return Tensor(frame.data * std + mean, dtype=frame.data.dtype)
-
-
-def resize_bilinear(frame: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Bilinear resize of (3,H,W) with half-pixel (align_corners=False)
-    sampling: source center (i+0.5)*scale - 0.5, clamped to the frame."""
-    c, h, w = frame.shape
-    if (h, w) == (out_h, out_w):
-        return Tensor(frame.data.copy(), dtype=frame.data.dtype)
-
-    def axis_coords(n_in, n_out):
-        src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-        src = np.clip(src, 0.0, n_in - 1.0)
-        lo = np.floor(src).astype(int)
-        hi = np.minimum(lo + 1, n_in - 1)
-        frac = src - lo
-        return lo, hi, frac
-
-    y0, y1, fy = axis_coords(h, out_h)
-    x0, x1, fx = axis_coords(w, out_w)
-    d = frame.data
-    top = d[:, y0][:, :, x0] * (1 - fx) + d[:, y0][:, :, x1] * fx
-    bot = d[:, y1][:, :, x0] * (1 - fx) + d[:, y1][:, :, x1] * fx
-    out = top * (1 - fy)[None, :, None] + bot * fy[None, :, None]
-    return Tensor(out, dtype=frame.data.dtype)
-
-
 # ---------------------------------------------------------------------------
 # clip files: magic, version u16, label i8 (-1 absent), source_id
 # (u16 length + UTF-8), f_orig f64, r f64, then one serialized tensor.
@@ -237,6 +207,8 @@ def read_manifest(path) -> list[ClipRecord]:
         if len(parts) != 3:
             raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
         rel, label, split = parts
+        if "\0" in rel:
+            raise FormatError(f"{path}:{lineno}: NUL byte in clip path")
         if label not in ("0", "1"):
             raise FormatError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
         if split not in ("train", "val", "test"):

@@ -80,32 +80,8 @@ class Tensor:
             raise NotScalar(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
-
-    # operator sugar; the module-level functions are the primary API
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class GradGraph:
@@ -597,17 +573,3 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
     offset += nbytes
     native = np.dtype(np.float32) if tag == 0 else np.dtype(np.float64)
     return Tensor(data, dtype=native), offset
-
-
-def save_tensor(path, t: Tensor) -> None:
-    with open(path, "wb") as f:
-        f.write(tensor_to_bytes(t))
-
-
-def load_tensor(path) -> Tensor:
-    with open(path, "rb") as f:
-        buf = f.read()
-    t, end = tensor_from_bytes(buf)
-    if end != len(buf):
-        raise FormatError(f"{len(buf) - end} trailing bytes after tensor")
-    return t

@@ -12,10 +12,10 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .errors import ConfigError, DivergenceError, ShapeMismatch
-from .metrics import roc_auc
+from .metrics import roc_auc, score_clips
 from .preprocess import FrameClip, load_split
 from .seeding import derive_seed
-from .tensor import GradientMap, Tensor, stable_sigmoid
+from .tensor import GradientMap, Tensor
 
 
 # Adam's decay rates and epsilon: the usual defaults, which no caller changes
@@ -55,7 +55,8 @@ def bce_with_logits(logit: Union[Tensor, float], y):
     if isinstance(logit, Tensor):
         loss = T.softplus(T.scale(logit, -1.0))
         if np.any(labels != 1.0):
-            loss = T.add(loss, T.mul(logit, Tensor(np.broadcast_to(1.0 - labels, logit.shape))))
+            loss = T.add(loss, T.mul(logit, Tensor(np.broadcast_to(1.0 - labels, logit.shape),
+                                                   dtype=logit.dtype)))
         return loss
     y = float(y)
     z = float(logit)
@@ -132,28 +133,13 @@ class TrainResult:
     params: "M.CastParams"
 
 
-def clip_scores(out: M.ModelOutput, mode: str) -> np.ndarray:
-    """Per-video scores in [0,1], one per clip of the forward pass: mean of
-    per-frame sigmoids, or the sigmoid of the clip logit."""
-    if mode == "frame_mean":
-        return np.atleast_1d(stable_sigmoid(out.frame_logits.data).mean(axis=-1))
-    if mode == "clip":
-        return stable_sigmoid(out.clip_logit.data)
-    raise ConfigError(f"unknown eval_logit_mode {mode!r}")
-
-
 def _validate_epoch(params: M.CastParams, cfg: M.CastConfig,
                     val_set: list[tuple[FrameClip, int]],
                     batch_size: int) -> tuple[float, float]:
-    losses, scores, labels = [], [], []
-    with T.no_grad():
-        for start in range(0, len(val_set), batch_size):
-            chunk = val_set[start:start + batch_size]
-            out = M.forward([clip for clip, _ in chunk], params, cfg, mode="eval")
-            for z, (_, label) in zip(out.clip_logit.data, chunk):
-                losses.append(bce_with_logits(float(z), label))
-                labels.append(label)
-            scores.extend(float(v) for v in clip_scores(out, cfg.eval_logit_mode))
+    logits, scores = score_clips([clip for clip, _ in val_set], params, cfg,
+                                 cfg.eval_logit_mode, batch_size)
+    labels = [label for _, label in val_set]
+    losses = [bce_with_logits(z, label) for z, label in zip(logits, labels)]
     if all(np.isfinite(s) for s in scores):
         _, auc = roc_auc(scores, labels)
     else:
@@ -195,6 +181,7 @@ def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
         rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "shuffle", epoch)))
         order = rng.permutation(len(train_set))
         batch_losses = []
+        applied = 0
         for step in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[step:step + cfg.batch_size]]
             T.reset_graph()
@@ -206,12 +193,15 @@ def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
             scaled = (T.scale(batch_loss, cfg.loss_scale)
                       if cfg.loss_scale != 1.0 else batch_loss)
             grads = T.backward(scaled)
-            adam_step(tensors, grads, state, cfg)
+            applied += adam_step(tensors, grads, state, cfg)
             batch_losses.append(batch_loss.item())
         T.reset_graph()
 
         if not any(np.isfinite(v) for v in batch_losses):
             raise DivergenceError(f"epoch {epoch}: every batch loss was non-finite")
+        if not applied:
+            raise DivergenceError(f"epoch {epoch}: every gradient was non-finite, "
+                                  f"no Adam step was applied")
         train_loss = float(np.mean(batch_losses))
         val_loss, val_auc = _validate_epoch(params, model_cfg, val_set, cfg.batch_size)
         history.append(EpochRecord(epoch=epoch, train_loss=train_loss,

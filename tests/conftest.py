@@ -1,9 +1,11 @@
 """Shared fixtures: a tiny synthetic dataset and matching model config."""
 
+import numpy as np
 import pytest
 
 from castnet import model as M
 from castnet import synth
+from castnet import tensor as T
 
 
 def tiny_model_cfg(**kw):
@@ -28,3 +30,16 @@ def tiny_dataset(tmp_path_factory):
     manifest = synth.generate_dataset(tiny_synth_cfg(), root)
     return {"dir": root, "manifest": manifest.manifest_path,
             "synth_cfg": tiny_synth_cfg(), "model_cfg": tiny_model_cfg()}
+
+
+@pytest.fixture()
+def nan_gradients(monkeypatch):
+    """Every backward pass returns all-NaN gradients; losses stay finite."""
+    real = T.backward
+
+    def poisoned(loss):
+        grads = real(loss)
+        for g in grads.values():
+            g.data[...] = np.nan
+        return grads
+    monkeypatch.setattr(T, "backward", poisoned)

@@ -114,6 +114,12 @@ class TestCmdGen:
         assert cli.main(["gen", "--config", str(path)]) == 2
         assert "UTF-8" in capsys.readouterr().err
 
+    def test_nul_byte_in_output_dir_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(config_text(output={"dir": "runs\0x"}))
+        assert cli.main(["gen", "--config", str(path)]) == 2
+        assert "bad value for key 'dir'" in capsys.readouterr().err
+
     def test_missing_config_exits_two(self, tmp_path):
         assert cli.main(["gen", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -179,6 +185,12 @@ class TestCmdTrain:
         assert cli.main(["gen", "--config", str(cfg_path)]) == 0
         with np.errstate(all="ignore"):
             assert cli.main(["train", "--config", str(cfg_path)]) == 3
+
+    def test_non_finite_gradients_exit_three(self, tmp_path, capsys, nan_gradients):
+        cfg_path = write_config(tmp_path)
+        assert cli.main(["gen", "--config", str(cfg_path)]) == 0
+        assert cli.main(["train", "--config", str(cfg_path)]) == 3
+        assert "no Adam step" in capsys.readouterr().err
 
 
 @pytest.fixture()
@@ -317,6 +329,14 @@ class TestCmdEval:
                          "--manifest", str(manifest), "--out", str(tmp_path / "rep")])
         assert code == 2
         assert "UTF-8" in capsys.readouterr().err
+
+    def test_nul_byte_in_clip_path_exits_two(self, zero_classifier_ckpt, tmp_path, capsys):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_bytes(b"clip\x00.castclip\t1\ttest\n")
+        code = cli.main(["eval", "--checkpoint", str(zero_classifier_ckpt),
+                         "--manifest", str(manifest), "--out", str(tmp_path / "rep")])
+        assert code == 2
+        assert "NUL byte" in capsys.readouterr().err
 
     def test_non_utf8_clip_source_id_exits_two(self, tiny_dataset, zero_classifier_ckpt,
                                                tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Seeded mutation fuzz over the tensor, clip, checkpoint, manifest,
 experiment-config and PGM parsers: whatever the bytes, only a CastError
-escapes.
+escapes. The same mutations of a config, a manifest, a checkpoint and a
+clip, fed to `castnet eval` and `castnet train`, end in a documented exit
+code with no traceback.
 
 Each parser gets well-formed input with one to three byte-level mutations
 (overwrite, insert, delete a short run, splice in a token, truncate). The
@@ -15,14 +17,16 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from castnet import cli
 from castnet import heatmap as H
 from castnet import kvtext
 from castnet import model as M
 from castnet import preprocess as pp
+from castnet import synth
 from castnet import tensor as T
 from castnet.config import ExperimentConfig, load_experiment_config
 from castnet.errors import CastError
-from conftest import tiny_model_cfg
+from conftest import tiny_model_cfg, tiny_synth_cfg
 
 TOKENS = (b"=", b",", b"\n", b"\r", b"[", b"]", b"#", b"\t", b"\xff", b"\xc3",
           b"\x00", b"-", b"0", b"9", b"nan", b"inf", b"none", b"1e999", b"[model]")
@@ -102,4 +106,59 @@ def test_only_cast_errors_escape(tmp_path, parser, count):
                 pass
             except Exception as e:  # noqa: BLE001 - any other type is the failure
                 escaped.append((i, buf, f"{type(e).__name__}: {e}"))
+    assert not escaped, f"{len(escaped)} of {count} escaped, first: {escaped[:3]}"
+
+
+# no [output] section: runs go to the relative default dir, so no mutation
+# can send them outside the test's working directory
+CLI_CONFIG = b"""[synth]
+frames=4
+[model]
+backbone_channels=4,8
+d=8
+encoder_layers=1
+heads=2
+ffn_dim=16
+fusion_heads=2
+clip_len=4
+[training]
+max_epochs=1
+batch_size=4
+"""
+
+CLI_CASES = [("eval", "checkpoint", 150), ("eval", "manifest", 150), ("eval", "clip", 150),
+             ("train", "config", 120), ("train", "manifest", 60), ("train", "clip", 60)]
+
+
+@pytest.mark.parametrize("command,target,count", CLI_CASES)
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys, command, target, count):
+    monkeypatch.chdir(tmp_path)
+    synth.generate_dataset(tiny_synth_cfg(n_train=8, n_val=4, n_test=4), "runs/data")
+    cfg = tiny_model_cfg()
+    M.save_checkpoint("model.ckpt", cfg, M.init_cast_params(cfg, seed=4))
+    (tmp_path / "exp.cfg").write_bytes(CLI_CONFIG)
+    argv = {"eval": ["eval", "--checkpoint", "model.ckpt",
+                     "--manifest", "runs/data/manifest.tsv", "--out", "report"],
+            "train": ["train", "--config", "exp.cfg"]}[command]
+    path = tmp_path / {"config": "exp.cfg", "checkpoint": "model.ckpt",
+                       "manifest": "runs/data/manifest.tsv",
+                       "clip": f"runs/data/{'test' if command == 'eval' else 'train'}"
+                               f"/clip_00000.castclip"}[target]
+    seed_input = path.read_bytes()
+    assert cli.main(argv) == 0  # the unmutated inputs run
+    rng = np.random.default_rng(100 + CLI_CASES.index((command, target, count)))
+    escaped = []
+    with np.errstate(all="ignore"):
+        for i in range(count):
+            buf = mutate(seed_input, rng)
+            path.write_bytes(buf)
+            capsys.readouterr()
+            try:
+                code = cli.main(argv)
+            except Exception as e:  # noqa: BLE001 - any escape is the failure
+                escaped.append((i, buf, f"{type(e).__name__}: {e}"))
+                continue
+            err = capsys.readouterr().err
+            if code not in (0, 2, 3, 4, 5) or "Traceback" in err:
+                escaped.append((i, buf, f"exit {code}: {err[-300:]}"))
     assert not escaped, f"{len(escaped)} of {count} escaped, first: {escaped[:3]}"

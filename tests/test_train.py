@@ -1,13 +1,16 @@
 """Loss contract, Adam semantics (including loss scaling), the training
 loop, and the metric computations."""
 
-import os
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from castnet import metrics
 from castnet import model as M
+from castnet import preprocess as pp
+from castnet import synth
 from castnet import tensor as T
 from castnet.errors import (
     ConfigError,
@@ -24,7 +27,34 @@ from castnet.train import (
     bce_with_logits,
     train,
 )
-from conftest import tiny_model_cfg
+from conftest import tiny_model_cfg, tiny_synth_cfg
+
+
+def per_clip_scores(params, cfg, paths, mode):
+    """The reference scorer: one forward per clip, outside score_clips."""
+    with T.no_grad():
+        return [float(metrics.clip_scores(M.forward(pp.read_clip(p), params, cfg), mode)[0])
+                for p in paths]
+
+
+@pytest.fixture(scope="module")
+def mixed_sizes(tmp_path_factory):
+    """A manifest whose val and test rows interleave 8x8 and 16x16 clips:
+    two 8x8 rows, then one 16x16 row, and again."""
+    root = tmp_path_factory.mktemp("mixed")
+    small = synth.generate_dataset(tiny_synth_cfg(n_val=6, n_test=8), root / "s8")
+    large = synth.generate_dataset(
+        tiny_synth_cfg(n_train=1, n_val=3, n_test=4, h=16, w=16, base_seed=12),
+        root / "s16")
+    records = []
+    for split in ("val", "test"):
+        a = [replace(r, path=f"s8/{r.path}") for r in small.records if r.split == split]
+        b = [replace(r, path=f"s16/{r.path}") for r in large.records if r.split == split]
+        for k, row in enumerate(b):
+            records += a[2 * k:2 * k + 2] + [row]
+    pp.write_manifest(root / "mixed.tsv", records)
+    return {"dir": root, "manifest": root / "mixed.tsv", "records": records,
+            "train_manifest": small.manifest_path}
 
 
 @pytest.fixture(autouse=True)
@@ -285,6 +315,27 @@ class TestTrainLoop:
             train(tiny_dataset["model_cfg"], tiny_dataset["manifest"],
                   tiny_dataset["manifest"], cfg, tmp_path / "run")
 
+    def test_non_finite_gradients_every_step_raise(self, tiny_dataset, tmp_path,
+                                                   nan_gradients):
+        # finite losses, but every Adam step is skipped: nothing trains
+        cfg = TrainConfig(max_epochs=2, batch_size=4, seed=0)
+        with pytest.raises(DivergenceError, match="no Adam step"):
+            train(tiny_dataset["model_cfg"], tiny_dataset["manifest"],
+                  tiny_dataset["manifest"], cfg, tmp_path / "run")
+        assert not (tmp_path / "run" / "best.ckpt").exists()
+
+    def test_val_manifest_of_mixed_frame_sizes(self, mixed_sizes, tmp_path):
+        cfg = TrainConfig(max_epochs=1, batch_size=4, seed=0)
+        model_cfg = tiny_model_cfg()
+        res = train(model_cfg, mixed_sizes["train_manifest"], mixed_sizes["manifest"],
+                    cfg, tmp_path / "run")
+        val = [r for r in mixed_sizes["records"] if r.split == "val"]
+        with T.no_grad():
+            logits = [M.forward(pp.read_clip(mixed_sizes["dir"] / r.path), res.params,
+                                model_cfg).clip_logit.item() for r in val]
+        expected = np.mean([bce_with_logits(z, r.label) for z, r in zip(logits, val)])
+        assert res.history[0].val_loss == pytest.approx(expected, rel=1e-12, abs=0)
+
     def test_loss_scale_invariance(self, tiny_dataset, tmp_path):
         results = []
         for scale in (1.0, 1024.0):
@@ -328,24 +379,50 @@ class TestEvaluate:
         report = metrics.evaluate(ckpt, tiny_dataset["manifest"])
         assert report.n_videos == 6  # n_test of the tiny dataset
 
-    def test_parallel_eval_matches_serial(self, tiny_dataset, tmp_path, monkeypatch):
+    def test_scores_match_per_clip_forwards(self, tmp_path):
+        # more test clips than EVAL_BATCH, so a chunk boundary is crossed
+        n_test = 2 * metrics.EVAL_BATCH + 3
+        data = synth.generate_dataset(tiny_synth_cfg(n_train=1, n_val=1, n_test=n_test),
+                                      tmp_path / "data")
         cfg = tiny_model_cfg()
         params = M.init_cast_params(cfg, seed=12)
         ckpt = tmp_path / "m.ckpt"
         M.save_checkpoint(ckpt, cfg, params)
-        serial = metrics.evaluate(ckpt, tiny_dataset["manifest"])
-        monkeypatch.setenv("CAST_THREADS", "4")
-        parallel = metrics.evaluate(ckpt, tiny_dataset["manifest"])
-        assert serial.scores == parallel.scores
+        paths = [tmp_path / "data" / r.path for r in data.records if r.split == "test"]
+        report = metrics.evaluate(ckpt, data.manifest_path, "frame_mean")
+        assert report.scores == per_clip_scores(params, cfg, paths, "frame_mean")
+        # a batch's clip logits are one matrix-vector product over its pooled
+        # rows, a lone clip's one dot product: equal up to summation order
+        report = metrics.evaluate(ckpt, data.manifest_path, "clip")
+        np.testing.assert_allclose(report.scores, per_clip_scores(params, cfg, paths, "clip"),
+                                   rtol=1e-14, atol=0)
 
-    def test_thread_count_capped_at_cpu_count(self, monkeypatch):
-        # _eval_threads only reads the variable; it starts no thread itself
-        monkeypatch.setenv("CAST_THREADS", "100000")
-        assert metrics._eval_threads() == (os.cpu_count() or 1)
-        monkeypatch.setenv("CAST_THREADS", "0")
-        assert metrics._eval_threads() == 1
-        monkeypatch.setenv("CAST_THREADS", "many")
-        assert metrics._eval_threads() == 1
+    def test_mixed_frame_sizes_keep_manifest_order(self, mixed_sizes, tmp_path):
+        cfg = tiny_model_cfg()
+        params = M.init_cast_params(cfg, seed=14)
+        ckpt = tmp_path / "m.ckpt"
+        M.save_checkpoint(ckpt, cfg, params)
+        rows = [r for r in mixed_sizes["records"] if r.split == "test"]
+        report = metrics.evaluate(ckpt, mixed_sizes["manifest"])
+        paths = [mixed_sizes["dir"] / r.path for r in rows]
+        assert report.scores == per_clip_scores(params, cfg, paths, cfg.eval_logit_mode)
+        assert report.labels == [r.label for r in rows]
+
+    def test_holds_at_most_eval_batch_clips(self, tiny_dataset, tmp_path, monkeypatch):
+        cfg = tiny_model_cfg()
+        ckpt = tmp_path / "m.ckpt"
+        M.save_checkpoint(ckpt, cfg, M.init_cast_params(cfg, seed=15))
+        refs, live = [], []
+
+        def counting_read(path):
+            clip = pp.read_clip(path)
+            refs.append(weakref.ref(clip))
+            live.append(sum(r() is not None for r in refs))
+            return clip
+        monkeypatch.setattr(metrics, "read_clip", counting_read)
+        monkeypatch.setattr(metrics, "EVAL_BATCH", 4)
+        metrics.evaluate(ckpt, tiny_dataset["manifest"])
+        assert len(live) == 6 and max(live) <= 4
 
     def test_mode_override(self, tiny_dataset, tmp_path):
         cfg = tiny_model_cfg()
