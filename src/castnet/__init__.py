@@ -19,7 +19,6 @@ from .model import (
 from .preprocess import FrameClip, read_clip, write_clip
 from .synth import ArtifactSpec, ShiftSpec, SynthConfig, generate_clip, generate_dataset
 from .tensor import (
-    GradGraph,
     GradientMap,
     Tensor,
     backward,
@@ -39,7 +38,6 @@ __all__ = [
     "CastParams",
     "EvalReport",
     "FrameClip",
-    "GradGraph",
     "GradientMap",
     "ModelOutput",
     "ShiftSpec",

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .errors import ConfigError, DegenerateEval, EmptyEval, NumericalFailure
+from .errors import ConfigError, DegenerateEval, EmptyEval, NumericalFailure, ShapeMismatch
 from .preprocess import FrameClip, read_clip, read_manifest
 from .tensor import stable_sigmoid
 
@@ -27,7 +27,7 @@ def accuracy(scores, labels) -> tuple[int, int, int, int, float]:
     if not scores:
         raise EmptyEval("no scores to evaluate")
     if len(scores) != len(labels):
-        raise ValueError("scores and labels differ in length")
+        raise ShapeMismatch(f"{len(scores)} scores for {len(labels)} labels")
     tp = tn = fp = fn = 0
     for s, y in zip(scores, labels):
         predicted_fake = s >= 0.5
@@ -49,6 +49,8 @@ def roc_auc(scores, labels) -> tuple[list[tuple[float, float]], float]:
     labels = np.asarray(list(labels), dtype=np.int64)
     if scores.size == 0:
         raise EmptyEval("no scores to evaluate")
+    if len(scores) != len(labels):
+        raise ShapeMismatch(f"{len(scores)} scores for {len(labels)} labels")
     if not np.all(np.isfinite(scores)):
         raise NumericalFailure("non-finite scores")
     n_pos = int((labels == 1).sum())

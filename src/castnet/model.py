@@ -286,11 +286,6 @@ def param_count(cfg: CastConfig) -> int:
 # forward pieces
 
 
-def _linear_rows(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """(..., n, c) @ (d, c)^T + (d,) -> (..., n, d)."""
-    return T.add(T.matmul(x, T.transpose(weight)), bias)
-
-
 def backbone_stages(frames: Tensor, backbone: list[Conv2dParams]) -> list[Tensor]:
     """Per-frame conv stages (conv then rectifier); one output per stage."""
     outs = []
@@ -305,21 +300,14 @@ def spatial_tokens(fmaps: Tensor, proj: Optional[PointwiseProj]) -> Tensor:
     """(F, C, H', W') -> (F, H'*W', d); row-major flatten of the grid.
     Without a projection the raw C-dim channel fibers are the tokens."""
     n_frames, c, hp, wp = fmaps.shape
-    sites = hp * wp
-    x = T.transpose(T.reshape(fmaps, (n_frames, c, sites)), (0, 2, 1))
-    if proj is None:
-        return x
-    d = proj.weight.shape[0]
-    flat = _linear_rows(T.reshape(x, (n_frames * sites, c)), proj.weight, proj.bias)
-    return T.reshape(flat, (n_frames, sites, d))
+    x = T.transpose(T.reshape(fmaps, (n_frames, c, hp * wp)), (0, 2, 1))
+    return x if proj is None else nn.linear(x, proj.weight, proj.bias)
 
 
 def temporal_tokens(fmaps: Tensor, proj: Optional[PointwiseProj]) -> Tensor:
     """(F, C, H', W') -> (F, d): global average pool then projection."""
     pooled = nn.global_avg_pool(fmaps)
-    if proj is None:
-        return pooled
-    return _linear_rows(pooled, proj.weight, proj.bias)
+    return pooled if proj is None else nn.linear(pooled, proj.weight, proj.bias)
 
 
 def encode_temporal(t_seq: Tensor, pos_embed: Tensor,
@@ -336,9 +324,9 @@ def encode_temporal(t_seq: Tensor, pos_embed: Tensor,
                        derive_seed(seed, "enc_attn", i))
         x = T.add(x, attn)
         h = nn.layer_norm(x, layer.ln2)
-        h = T.relu(_linear_rows(h, layer.ffn_w1, layer.ffn_b1))
+        h = T.relu(nn.linear(h, layer.ffn_w1, layer.ffn_b1))
         h = nn.dropout(h, drop_rate, mode, derive_seed(seed, "enc_ffn", i))
-        h = _linear_rows(h, layer.ffn_w2, layer.ffn_b2)
+        h = nn.linear(h, layer.ffn_w2, layer.ffn_b2)
         x = T.add(x, h)
     return x
 
@@ -389,7 +377,7 @@ def decoupled_fuse(z: Tensor, s_mean: Tensor, p: DecoupledParams,
     sa = nn.mhsa(s_mean, p.spatial, mode, derive_seed(seed, "dec_s"))
     s_pool = T.mean_axis0(sa, axis=-2)
     cat = T.concat([za, T.repeat_rows(s_pool, z.shape[-2])], axis=-1)
-    return _linear_rows(cat, p.mix_w, p.mix_b)
+    return nn.linear(cat, p.mix_w, p.mix_b)
 
 
 def multi_scale_tokens(stages: list[Tensor], proj: PointwiseProj) -> Tensor:
@@ -415,8 +403,8 @@ def classify(fused: Tensor, weight: Tensor, bias: Tensor) -> tuple[Tensor, Tenso
     lead = fused.shape[:-2]
     pooled = T.mean_axis0(fused, axis=-2)
     rows = pooled if lead else T.reshape(pooled, (1, d))
-    clip_logit = T.reshape(_linear_rows(rows, weight, bias), (rows.shape[0],))
-    frame_logits = T.reshape(_linear_rows(fused, weight, bias), lead + (n,))
+    clip_logit = T.reshape(nn.linear(rows, weight, bias), (rows.shape[0],))
+    frame_logits = T.reshape(nn.linear(fused, weight, bias), lead + (n,))
     return clip_logit, frame_logits, pooled
 
 

@@ -1,9 +1,9 @@
 """Neural building blocks: convolution, projections, normalization,
 attention, dropout, and fan-scaled parameter initialization.
 
-Fused ops (conv2d, pooling, layer_norm, softmax, dropout) register their
-own backward rules on the tape through tensor.apply_op; everything else is
-composed from tensor primitives.
+Fused ops (conv2d, pooling, linear, layer_norm, softmax, dropout) register
+their own backward rules on the tape through tensor.apply_op; everything
+else is composed from tensor primitives.
 """
 
 from __future__ import annotations
@@ -152,6 +152,29 @@ def avg_pool2d(x: Tensor, k: int) -> Tensor:
 # projections and pooling
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Affine map of the last axis as one tape record, x @ weight^T + bias:
+    (..., c), (d, c), (d,) -> (..., d).
+
+    x multiplies a contiguous copy of weight^T, which is what a transpose
+    followed by a matmul multiplies, so the two agree bit for bit.
+    """
+    if weight.ndim != 2 or bias.shape != weight.shape[:1] or x.shape[-1] != weight.shape[1]:
+        raise ShapeMismatch(f"linear of input {x.shape} needs weight (d, {x.shape[-1]}) "
+                            f"and bias (d,), got {weight.shape} and {bias.shape}")
+    d, c = weight.shape
+    wt = np.ascontiguousarray(weight.data.T)
+    rows = x.data.reshape(-1, c)
+    out = (rows @ wt).reshape(x.shape[:-1] + (d,)) + bias.data
+
+    def bwd(g):
+        g2 = g.reshape(-1, d)
+        return ((g2 @ wt.T).reshape(x.shape), (rows.T @ g2).T,
+                g.sum(axis=tuple(range(g.ndim - 1))))
+
+    return apply_op("linear", out, (x, weight, bias), bwd)
+
+
 def pointwise_project(fm: Tensor, p: PointwiseProj) -> Tensor:
     """Per-site channel projection: out[:,h,w] = weight @ in[:,h,w] + bias.
 
@@ -164,14 +187,11 @@ def pointwise_project(fm: Tensor, p: PointwiseProj) -> Tensor:
     d, c = p.weight.shape
     if fm.shape[-3] != c:
         raise ShapeMismatch(f"feature map has {fm.shape[-3]} channels, weight expects {c}")
-    sites = fm.shape[-2] * fm.shape[-1]
     lead = fm.shape[0] if batched else 1
-    flat = T.reshape(fm, (lead, c, sites)) if batched else T.reshape(fm, (1, c, sites))
-    cols = T.reshape(T.transpose(flat, (0, 2, 1)), (lead * sites, c))
-    projected = T.add(T.matmul(cols, T.transpose(p.weight)), p.bias)
-    grid = T.transpose(T.reshape(projected, (lead, sites, d)), (0, 2, 1))
+    flat = T.reshape(fm, (lead, c, fm.shape[-2] * fm.shape[-1]))
+    projected = linear(T.transpose(flat, (0, 2, 1)), p.weight, p.bias)
     shape = (lead, d, fm.shape[-2], fm.shape[-1]) if batched else (d, fm.shape[-2], fm.shape[-1])
-    return T.reshape(grid, shape)
+    return T.reshape(T.transpose(projected, (0, 2, 1)), shape)
 
 
 def global_avg_pool(fm: Tensor) -> Tensor:

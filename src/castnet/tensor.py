@@ -1,9 +1,11 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
 Every forward operation that touches a gradient-requiring tensor appends an
-op record to the active tape. backward() replays the tape in reverse and
-accumulates gradients into the tape's leaf set. The tape is meant to live
-for one forward/backward cycle (one training batch) and be discarded via
+op record to the active tape, a plain list of records in execution order.
+backward() replays the tape in reverse and returns the gradient of every
+tensor the walk reaches that no record on the tape produced: the leaves. It
+keeps nothing between calls. The tape is meant to live for one
+forward/backward cycle (one training batch) and be discarded via
 reset_graph() after the optimizer step.
 
 Gradient arrays are combined out-of-place during the backward walk, so op
@@ -44,9 +46,9 @@ class Tensor:
     """A dense n-dimensional float array, optionally on the gradient tape.
 
     data is a contiguous numpy array (float64 by default, float32 mode
-    available). node_id is assigned lazily the first time the tensor joins
-    a recorded operation and stays stable for the tensor's lifetime, which
-    lets optimizer state survive tape resets.
+    available). A tensor created with requires_grad=True, and every op
+    output recorded on the tape, gets a node_id that stays stable for the
+    tensor's lifetime, which lets optimizer state survive tape resets.
     """
 
     __slots__ = ("data", "requires_grad", "node_id")
@@ -57,7 +59,7 @@ class Tensor:
             arr = arr.reshape(1)
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
-        self.node_id: Optional[int] = None
+        self.node_id: Optional[int] = _new_node_id() if requires_grad else None
 
     @property
     def shape(self) -> tuple:
@@ -84,16 +86,6 @@ class Tensor:
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
 
 
-class GradGraph:
-    """Tape of op records in execution order plus the leaf (parameter) set."""
-
-    def __init__(self):
-        self.records: list[_OpRecord] = []
-        self.leaves: dict[int, Tensor] = {}
-        self.produced: set[int] = set()
-        self.grad_accum: dict[int, np.ndarray] = {}
-
-
 class _OpRecord:
     __slots__ = ("op", "out_id", "input_ids", "backward_fn")
 
@@ -108,22 +100,20 @@ class GradientMap(dict):
     """Mapping node_id -> gradient Tensor with the same shape as its leaf."""
 
     def of(self, param: Tensor) -> Tensor:
-        if param.node_id is None or param.node_id not in self:
-            return Tensor(np.zeros_like(param.data))
-        return self[param.node_id]
+        """param's gradient as a fresh array in param's dtype; zeros when
+        the loss did not reach param."""
+        g = self.get(param.node_id)
+        data = np.zeros_like(param.data) if g is None else g.data.astype(param.dtype)
+        return Tensor(data, dtype=param.dtype)
 
 
-_graph = GradGraph()
-
-
-def active_graph() -> GradGraph:
-    return _graph
+_tape: list[_OpRecord] = []
 
 
 def reset_graph() -> None:
     """Discard the current tape; call between optimizer steps."""
-    global _graph
-    _graph = GradGraph()
+    global _tape
+    _tape = []
 
 
 @contextmanager
@@ -148,17 +138,6 @@ def set_debug_nan_checks(enabled: bool) -> None:
     _debug_nan_checks = bool(enabled)
 
 
-def _register_input(t: Tensor) -> Optional[int]:
-    if not t.requires_grad:
-        return None
-    if t.node_id is None:
-        t.node_id = _new_node_id()
-    g = _graph
-    if t.node_id not in g.produced and t.node_id not in g.leaves:
-        g.leaves[t.node_id] = t
-    return t.node_id
-
-
 def apply_op(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
              backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
     """Wrap a computed array as a Tensor and record it on the tape.
@@ -173,29 +152,24 @@ def apply_op(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
     out.requires_grad = False
     out.node_id = None
     if _grad_enabled and any(t.requires_grad for t in inputs):
-        input_ids = tuple(_register_input(t) for t in inputs)
         out.requires_grad = True
         out.node_id = _new_node_id()
-        g = _graph
-        g.produced.add(out.node_id)
-        g.records.append(_OpRecord(op, out.node_id, input_ids, backward_fn))
+        _tape.append(_OpRecord(op, out.node_id, tuple(t.node_id for t in inputs),
+                               backward_fn))
     return out
 
 
 def backward(loss: Tensor) -> GradientMap:
-    """Accumulate d(loss)/d(leaf) for every leaf of the active tape.
-
-    Gradients add into the tape's accumulators, so calling backward twice
-    without reset_graph() doubles them. Leaves not reachable from the loss
-    get zero gradients.
+    """d(loss)/d(leaf) for every leaf of the active tape that the loss
+    reaches; read them through GradientMap.of, which gives zeros for the
+    rest. Each call walks the tape afresh and accumulates nothing.
     """
     if loss.size != 1:
         raise NotScalar(f"loss must be scalar, got shape {loss.shape}")
-    g = _graph
     pending: dict[int, np.ndarray] = {}
     if loss.node_id is not None:
         pending[loss.node_id] = np.ones_like(loss.data)
-    for rec in reversed(g.records):
+    for rec in reversed(_tape):
         gout = pending.pop(rec.out_id, None)
         if gout is None:
             continue
@@ -205,17 +179,8 @@ def backward(loss: Tensor) -> GradientMap:
                 continue
             prev = pending.get(nid)
             pending[nid] = gin if prev is None else prev + gin
-    result = GradientMap()
-    for nid, leaf in g.leaves.items():
-        contrib = pending.get(nid)
-        acc = g.grad_accum.get(nid)
-        if acc is None:
-            acc = np.zeros_like(leaf.data)
-            g.grad_accum[nid] = acc
-        if contrib is not None:
-            acc += contrib
-        result[nid] = Tensor(acc.copy(), dtype=leaf.data.dtype)
-    return result
+    # every record's output was popped above, so only leaves remain
+    return GradientMap((nid, Tensor(g, dtype=g.dtype)) for nid, g in pending.items())
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +461,7 @@ def grad_check(builder: Callable[[], Tensor], params: Sequence[Tensor],
     if not np.all(np.isfinite(loss.data)):
         raise NumericalFailure("loss is non-finite at the evaluation point")
     gmap = backward(loss)
-    analytic = [gmap.of(p).data.reshape(-1).copy() for p in params]
+    analytic = [gmap.of(p).data.reshape(-1) for p in params]
     reset_graph()
 
     max_err = 0.0

@@ -85,8 +85,9 @@ def adam_step(params: Sequence[Tensor], grads: GradientMap, state: AdamState,
     inv_scale = 1.0 / cfg.loss_scale
     unscaled = []
     for p in params:
-        g = grads.get(p.node_id) if p.node_id is not None else None
-        gd = g.data if g is not None else np.zeros_like(p.data)
+        if p.node_id is None:
+            raise ConfigError("adam_step updates only tensors made with requires_grad=True")
+        gd = grads.of(p).data
         if gd.shape != p.data.shape:
             raise ShapeMismatch(f"gradient shape {gd.shape} != param {p.data.shape}")
         unscaled.append(gd * inv_scale if cfg.loss_scale != 1.0 else gd)
@@ -100,8 +101,6 @@ def adam_step(params: Sequence[Tensor], grads: GradientMap, state: AdamState,
     for p, g in zip(params, unscaled):
         if cfg.weight_decay:
             g = g + cfg.weight_decay * p.data
-        if p.node_id is None:
-            p.node_id = T._new_node_id()
         prev = state.moments.get(p.node_id)
         if prev is None:
             m = np.zeros_like(p.data)

@@ -9,7 +9,7 @@ import pytest
 
 from castnet import kvtext
 from castnet import model as M
-from castnet import nn
+from castnet import nn, synth
 from castnet import tensor as T
 from castnet.errors import CheckpointError, ConfigError, FormatError
 from castnet.preprocess import FrameClip
@@ -528,6 +528,24 @@ class TestFloat32:
         assert {"dropout", "conv2d", "matmul", "dropout grad", "param grad"} <= {
             op for op, _ in seen}
         assert sorted({op for op, dt in seen if dt != np.float32}) == []
+
+
+class TestTapeSize:
+    # tape records of one default train step; a change that moves this count
+    # reports the new count, and the old one, in CHANGES.md
+    DEFAULT_STEP_RECORDS = 194
+
+    def test_default_train_step_record_count(self):
+        cfg = M.CastConfig()
+        params = M.init_cast_params(cfg, seed=0)
+        clips = [synth.generate_clip(i, i % 2, synth.ArtifactSpec()) for i in range(8)]
+        out = M.forward(clips, params, cfg, mode="train", seed=list(range(8)))
+        losses = bce_with_logits(out.clip_logit, [c.label for c in clips])
+        T.scale(T.sum_all(losses), 1.0 / len(clips))
+        assert len(T._tape) == self.DEFAULT_STEP_RECORDS, (
+            f"one default train step now records {len(T._tape)} tape ops, not "
+            f"{self.DEFAULT_STEP_RECORDS}; if intended, update the pin and report "
+            f"the new count in CHANGES.md")
 
 
 class TestMultiScale:

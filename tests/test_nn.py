@@ -128,7 +128,7 @@ class TestConv2d:
         assert T.grad_check(build, [x, k, b], eps=1e-5) < 1e-6
 
 
-    def test_constant_input_skips_input_gradient(self):
+    def test_constant_input_skips_input_gradient(self, monkeypatch):
         rng = np.random.default_rng(12)
         xd = rng.uniform(-1, 1, (2, 3, 8, 8))
         p = nn.Conv2dParams(kernel=T.Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)), requires_grad=True),
@@ -146,10 +146,60 @@ class TestConv2d:
         assert np.array_equal(k_const, k_leaf)
         assert np.array_equal(b_const, b_leaf)
 
-        T.reset_graph()
+        backward_fns = []
+
+        def capture(op, out_data, inputs, backward_fn):
+            backward_fns.append(backward_fn)
+            return T.apply_op(op, out_data, inputs, backward_fn)
+        monkeypatch.setattr(nn, "apply_op", capture)
         nn.conv2d(T.Tensor(xd), p)
-        conv_rec = T.active_graph().records[-1]
-        assert conv_rec.backward_fn(np.ones((2, 4, 4, 4)))[0] is None
+        assert backward_fns[-1](np.ones((2, 4, 4, 4)))[0] is None
+
+
+class TestLinear:
+    def _params(self, x_shape, d, seed):
+        rng = np.random.default_rng(seed)
+        c = x_shape[-1]
+        return [T.Tensor(rng.uniform(-1, 1, s), requires_grad=True)
+                for s in (x_shape, (d, c), (d,))]
+
+    @pytest.mark.parametrize("x_shape,d", [((4, 3), 2), ((2, 3, 4), 5)])
+    def test_gradients(self, x_shape, d):
+        x, w, b = self._params(x_shape, d, seed=41)
+        r = T.Tensor(np.random.default_rng(42).uniform(0.5, 1.5, x_shape[:-1] + (d,)))
+
+        def build():
+            return T.sum_all(T.mul(nn.linear(x, w, b), r))
+
+        assert T.grad_check(build, [x, w, b], eps=1e-5) < 1e-6
+
+    # the model's affine maps: temporal projection, spatial projection, FFN
+    # in and out, decoupled mix, classifier over pooled and per-frame tokens
+    @pytest.mark.parametrize("x_shape,d", [
+        ((16, 64), 64), ((16, 16, 64), 64), ((8, 16, 64), 256), ((8, 16, 256), 64),
+        ((8, 16, 128), 64), ((8, 64), 1), ((8, 16, 64), 1)])
+    def test_bitwise_equal_to_transpose_matmul_add(self, x_shape, d):
+        x, w, b = self._params(x_shape, d, seed=43)
+        r = T.Tensor(np.random.default_rng(44).uniform(0.5, 1.5, x_shape[:-1] + (d,)))
+
+        def run(affine):
+            T.reset_graph()
+            out = affine(x, w, b)
+            grads = T.backward(T.sum_all(T.mul(out, r)))
+            return [out.data] + [grads.of(t).data for t in (x, w, b)]
+
+        fused = run(nn.linear)
+        composed = run(lambda x, w, b: T.add(T.matmul(x, T.transpose(w)), b))
+        for got, want in zip(fused, composed):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_feature_count_checked(self):
+        x, w, b = self._params((4, 3), 2, seed=45)
+        with pytest.raises(ShapeMismatch):
+            nn.linear(T.zeros((4, 5)), w, b)
+        with pytest.raises(ShapeMismatch):
+            nn.linear(x, w, T.zeros((3,)))
 
 
 class TestPointwiseProject:

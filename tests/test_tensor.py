@@ -179,12 +179,29 @@ class TestBackward:
         err = T.grad_check(build, [w1, w2, w3], eps=1e-5)
         assert err < 1e-6
 
-    def test_double_backward_accumulates_exactly_twice(self):
+    def test_repeated_backward_does_not_accumulate(self):
         w = T.Tensor([1.5, -0.5], requires_grad=True)
         loss = T.sum_all(T.mul(w, w))
-        first = T.backward(loss).of(w).data.copy()
-        second = T.backward(loss).of(w).data
-        np.testing.assert_array_equal(second, 2.0 * first)
+        first = T.backward(loss).of(w).data
+        np.testing.assert_array_equal(T.backward(loss).of(w).data, first)
+
+    def test_leaves_of_one_add_get_separate_gradients(self):
+        a = T.Tensor([1.0, 2.0], requires_grad=True)
+        b = T.Tensor([3.0, 4.0], requires_grad=True)
+        grads = T.backward(T.sum_all(T.add(a, b)))
+        ga, gb = grads.of(a).data, grads.of(b).data
+        np.testing.assert_array_equal(ga, [1.0, 1.0])
+        np.testing.assert_array_equal(gb, [1.0, 1.0])
+        assert not np.shares_memory(ga, gb)
+
+    def test_float32_leaf_in_float64_graph_gets_float32_gradient(self):
+        w = T.Tensor([0.5, -1.5], requires_grad=True, dtype=np.float32)
+        r = T.Tensor([2.0, 3.0])
+        grads = T.backward(T.sum_all(T.mul(w, r)))
+        assert grads[w.node_id].dtype == np.float64  # the ops ran in float64
+        g = grads.of(w)
+        assert g.dtype == np.float32
+        np.testing.assert_array_equal(g.data, [2.0, 3.0])
 
     def test_non_scalar_loss_rejected(self):
         w = T.Tensor([1.0, 2.0], requires_grad=True)

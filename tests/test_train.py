@@ -114,8 +114,6 @@ class TestBceWithLogits:
 def _grad_map_for(params, arrays):
     gm = T.GradientMap()
     for p, arr in zip(params, arrays):
-        if p.node_id is None:
-            p.node_id = T._new_node_id()
         gm[p.node_id] = T.Tensor(arr)
     return gm
 
@@ -179,6 +177,11 @@ class TestAdamStep:
         with pytest.raises(ShapeMismatch):
             adam_step([p], _grad_map_for([p], [np.zeros(3)]), AdamState(), TrainConfig())
 
+    def test_tensor_without_grad_rejected(self):
+        p = T.Tensor([1.0])
+        with pytest.raises(ConfigError, match="requires_grad"):
+            adam_step([p], T.GradientMap(), AdamState(), TrainConfig())
+
 
 class TestAccuracy:
     def test_hand_counted_fixture(self):
@@ -199,6 +202,10 @@ class TestAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(EmptyEval):
             metrics.accuracy([], [])
+
+    def test_length_mismatch_names_both_lengths(self):
+        with pytest.raises(ShapeMismatch, match="3 scores for 2 labels"):
+            metrics.accuracy([0.1, 0.9, 0.5], [0, 1])
 
     def test_invariant_under_monotone_transform_fixing_half(self):
         rng = np.random.default_rng(3)
@@ -263,6 +270,12 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateEval):
             metrics.roc_auc([0.4, 0.6], [1, 1])
+
+    @pytest.mark.parametrize("scores,labels", [([0.1, 0.9], [0, 1, 1]),
+                                               ([0.1, 0.9, 0.5], [0, 1])])
+    def test_length_mismatch_names_both_lengths(self, scores, labels):
+        with pytest.raises(ShapeMismatch, match=f"{len(scores)} scores for {len(labels)} labels"):
+            metrics.roc_auc(scores, labels)
 
     def test_invariant_under_strictly_increasing_transform(self):
         rng = np.random.default_rng(29)
