@@ -164,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_abl = sub.add_parser("ablate", help="train and score every model variant")
-    p_abl.add_argument("--config", required=True)
-    p_abl.add_argument("--seed", type=int, default=None)
+    p_abl.add_argument("--config", required=True)  # seeds: [ablation] seeds
     p_abl.set_defaults(func=cmd_ablate)
 
     p_heat = sub.add_parser("heatmap", help="export one attention row as PGM")

@@ -3,9 +3,10 @@
 A key is a dataclass field name; a nested dataclass field flattens to
 `<field>_<subfield>` keys. A value's type comes from the field's default:
 int, float, str, a tuple of ints or floats (comma separated), or None for
-an optional string (`none` or an empty value reads as None). Written text
-is one `key=value` line per key, keys sorted, floats in repr. Read text may
-hold blank lines and `#` comment lines; omitted keys keep their defaults.
+an optional string (`none` or an empty value reads as None); a float must
+be finite. Written text is one `key=value` line per key, keys sorted,
+floats in repr. Read text may hold blank lines and `#` comment lines;
+omitted keys keep their defaults.
 
 A sectioned text (the experiment config) has one `[name]` section per
 field of the outer dataclass, each holding the keys of that field.
@@ -16,6 +17,7 @@ dataclass can use it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields, is_dataclass, replace
 
 from .errors import ConfigError, FormatError
@@ -59,9 +61,12 @@ def _parse(default, text: str):
         raise ValueError("NUL byte")  # no path or name may hold one
     if default is None:
         return None if text.lower() in ("", "none") else text
-    if isinstance(default, tuple):
-        return tuple(type(default[0])(v) for v in text.split(","))
-    return type(default)(text)
+    many = isinstance(default, tuple)
+    kind = type(default[0] if many else default)
+    values = [kind(v) for v in (text.split(",") if many else [text])]
+    if kind is float and not all(map(math.isfinite, values)):
+        raise ValueError("non-finite number")  # float() reads nan, inf, 1e999
+    return tuple(values) if many else values[0]
 
 
 def _entries(text: str, origin: str, sections=()):

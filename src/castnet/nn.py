@@ -3,7 +3,10 @@ attention, dropout, and fan-scaled parameter initialization.
 
 Fused ops (conv2d, pooling, linear, layer_norm, softmax, dropout) register
 their own backward rules on the tape through tensor.apply_op; everything
-else is composed from tensor primitives.
+else is composed from tensor primitives. Leading axes are batch axes
+throughout: the map ops take (..., C, H, W) and the row ops (..., d). A
+backward rule keeps the shapes and arrays it needs, never an input Tensor,
+so a recorded op does not keep its input alive.
 """
 
 from __future__ import annotations
@@ -70,19 +73,18 @@ def _tap_span(offset: int, stride: int, pad: int, size: int, out_size: int):
 
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
-    """2-D convolution (cross-correlation) over (C,H,W) or batched (N,C,H,W).
+    """2-D convolution (cross-correlation) over (..., C, H, W); each index of
+    the leading axes is one image, and (C, H, W) is the case with none.
 
     H_out = floor((H + 2*pad - kh)/stride) + 1, likewise for W. Padding is
     never materialised: each kernel tap copies only the input it reads from
     inside the image into a zeroed column buffer, and the backward fold adds
     each tap's gradient straight back onto the input.
     """
-    batched = x.ndim == 4
-    if not batched and x.ndim != 3:
-        raise ShapeMismatch(f"conv2d expects (C,H,W) or (N,C,H,W), got {x.shape}")
+    if x.ndim < 3:
+        raise ShapeMismatch(f"conv2d expects (..., C, H, W), got {x.shape}")
     out_ch, in_ch, kh, kw = p.kernel.shape
-    xd = x.data if batched else x.data[None]
-    n, c, h, w = xd.shape
+    lead, (c, h, w) = x.shape[:-3], x.shape[-3:]
     if c != in_ch:
         raise ShapeMismatch(f"input has {c} channels, kernel expects {in_ch}")
     s, pad = int(p.stride), int(p.padding)
@@ -91,6 +93,8 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         raise ShapeMismatch(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
     h_out = (hp - kh) // s + 1
     w_out = (wp - kw) // s + 1
+    xd = x.data.reshape(-1, c, h, w)
+    n = xd.shape[0]
 
     # taps[(i, j)] = (out_rows, out_cols, in_rows, in_cols) of tap (i, j)
     row_spans = [_tap_span(i, s, pad, h, h_out) for i in range(kh)]
@@ -105,15 +109,13 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         cols[:, :, i, j, ro, co] = xd[:, :, ri, ci]
     cols = cols.reshape(n, c * kh * kw, h_out * w_out)
     kmat = p.kernel.data.reshape(out_ch, -1)
-    out = np.matmul(kmat, cols).reshape(n, out_ch, h_out, w_out)
-    out += p.bias.data[None, :, None, None]
-    if not batched:
-        out = out[0]
+    out = np.matmul(kmat, cols).reshape(lead + (out_ch, h_out, w_out))
+    out += p.bias.data[:, None, None]
 
     need_gx = x.requires_grad
 
     def bwd(g):
-        gm = (g if batched else g[None]).reshape(n, out_ch, h_out * w_out)
+        gm = g.reshape(n, out_ch, h_out * w_out)
         gbias = gm.sum(axis=(0, 2))
         gkernel = np.tensordot(gm, cols, axes=([0, 2], [0, 2])).reshape(p.kernel.shape)
         if not need_gx:  # e.g. the clip frames at stage 0
@@ -122,28 +124,22 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         gx = np.zeros((n, c, h, w), dtype=g.dtype)
         for (i, j), (ro, co, ri, ci) in taps.items():
             gx[:, :, ri, ci] += gcols[:, :, i, j, ro, co]
-        return (gx if batched else gx[0]), gkernel, gbias
+        return gx.reshape(lead + (c, h, w)), gkernel, gbias
 
     return apply_op("conv2d", out, (x, p.kernel, p.bias), bwd)
 
 
 def avg_pool2d(x: Tensor, k: int) -> Tensor:
-    """Non-overlapping k x k mean pooling over the trailing spatial axes."""
+    """Non-overlapping k x k mean pooling over the last two axes, (..., H, W)."""
     if k == 1:
         return x
-    batched = x.ndim == 4
-    xd = x.data if batched else x.data[None]
-    n, c, h, w = xd.shape
+    *lead, h, w = x.shape
     if h % k or w % k:
         raise ShapeMismatch(f"spatial dims {h}x{w} not divisible by pool size {k}")
-    out = xd.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
-    if not batched:
-        out = out[0]
+    out = x.data.reshape(*lead, h // k, k, w // k, k).mean(axis=(-3, -1))
 
     def bwd(g):
-        gd = g if batched else g[None]
-        gx = np.repeat(np.repeat(gd, k, axis=2), k, axis=3) * (1.0 / (k * k))
-        return (gx if batched else gx[0],)
+        return (np.repeat(np.repeat(g, k, axis=-2), k, axis=-1) * (1.0 / (k * k)),)
 
     return apply_op("avg_pool2d", out, (x,), bwd)
 
@@ -163,42 +159,35 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeMismatch(f"linear of input {x.shape} needs weight (d, {x.shape[-1]}) "
                             f"and bias (d,), got {weight.shape} and {bias.shape}")
     d, c = weight.shape
+    in_shape = x.shape
     wt = np.ascontiguousarray(weight.data.T)
     rows = x.data.reshape(-1, c)
-    out = (rows @ wt).reshape(x.shape[:-1] + (d,)) + bias.data
+    out = (rows @ wt).reshape(in_shape[:-1] + (d,)) + bias.data
 
     def bwd(g):
         g2 = g.reshape(-1, d)
-        return ((g2 @ wt.T).reshape(x.shape), (rows.T @ g2).T,
+        return ((g2 @ wt.T).reshape(in_shape), (rows.T @ g2).T,
                 g.sum(axis=tuple(range(g.ndim - 1))))
 
     return apply_op("linear", out, (x, weight, bias), bwd)
 
 
 def pointwise_project(fm: Tensor, p: PointwiseProj) -> Tensor:
-    """Per-site channel projection: out[:,h,w] = weight @ in[:,h,w] + bias.
-
-    Accepts (C,H,W) or batched (N,C,H,W); returns the same rank with C
-    replaced by the projection's output dim.
-    """
-    batched = fm.ndim == 4
-    if not batched and fm.ndim != 3:
-        raise ShapeMismatch(f"pointwise_project expects rank 3 or 4, got {fm.shape}")
+    """Per-site channel projection: out[..., :, h, w] = weight @ in[..., :, h, w]
+    + bias, over (..., C, H, W); C becomes the projection's output dim."""
+    if fm.ndim < 3:
+        raise ShapeMismatch(f"pointwise_project expects (..., C, H, W), got {fm.shape}")
     d, c = p.weight.shape
-    if fm.shape[-3] != c:
-        raise ShapeMismatch(f"feature map has {fm.shape[-3]} channels, weight expects {c}")
-    lead = fm.shape[0] if batched else 1
-    flat = T.reshape(fm, (lead, c, fm.shape[-2] * fm.shape[-1]))
-    projected = linear(T.transpose(flat, (0, 2, 1)), p.weight, p.bias)
-    shape = (lead, d, fm.shape[-2], fm.shape[-1]) if batched else (d, fm.shape[-2], fm.shape[-1])
-    return T.reshape(T.transpose(projected, (0, 2, 1)), shape)
+    *lead, c_in, h, w = fm.shape
+    if c_in != c:
+        raise ShapeMismatch(f"feature map has {c_in} channels, weight expects {c}")
+    flat = T.reshape(fm, (*lead, c, h * w))
+    projected = linear(T.transpose(flat), p.weight, p.bias)
+    return T.reshape(T.transpose(projected), (*lead, d, h, w))
 
 
 def global_avg_pool(fm: Tensor) -> Tensor:
-    """Spatial mean per channel: (C,H,W) -> (C,) or (N,C,H,W) -> (N,C)."""
-    batched = fm.ndim == 4
-    if not batched and fm.ndim != 3:
-        raise ShapeMismatch(f"global_avg_pool expects rank 3 or 4, got {fm.shape}")
+    """Mean over the last two axes: (..., C, H, W) -> (..., C)."""
     xd = fm.data
     sites = xd.shape[-1] * xd.shape[-2]
     out = xd.reshape(*xd.shape[:-2], sites).mean(axis=-1)

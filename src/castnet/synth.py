@@ -86,6 +86,8 @@ class SynthConfig:
             raise ConfigError("clips need at least 2 frames")
         if not (0 < self.fake_fraction < 1):
             raise ConfigError("fake_fraction must be in (0,1)")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.background_style not in BACKGROUND_STYLES:
             raise ConfigError(f"unknown background style {self.background_style!r}")
         self.artifact.validate()

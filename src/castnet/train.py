@@ -157,7 +157,8 @@ def format_history(history: list[EpochRecord]) -> str:
 def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
           cfg: TrainConfig, out_dir) -> TrainResult:
     """Train with seeded shuffling, save the checkpoint whenever validation
-    loss strictly improves, and write a per-epoch history file."""
+    loss strictly improves, and write a per-epoch history file; raise
+    DivergenceError after it if no epoch saved a checkpoint."""
     cfg.validate()
     model_cfg.validate()
     train_set = load_split(train_manifest, "train")
@@ -212,6 +213,9 @@ def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
 
     with open(history_path, "w", encoding="utf-8", newline="") as f:
         f.write(format_history(history))
+    if best_epoch < 0:
+        raise DivergenceError(f"no epoch reached a finite validation loss, so no "
+                              f"checkpoint was written (history in {history_path})")
     return TrainResult(history=history, best_checkpoint=ckpt_path,
                        history_path=history_path, best_epoch=best_epoch,
                        best_val_loss=float(best_val), params=params)

@@ -123,6 +123,18 @@ class TestCmdGen:
     def test_missing_config_exits_two(self, tmp_path):
         assert cli.main(["gen", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        assert cli.main(["gen", "--config", str(cfg_path), "--seed", "-1"]) == 2
+        assert "base_seed" in capsys.readouterr().err
+        path = write_config(tmp_path, synth={"base_seed": -1})
+        assert cli.main(["gen", "--config", str(path)]) == 2
+
+    def test_non_finite_float_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, training={"lr": "nan"})
+        assert cli.main(["gen", "--config", str(path)]) == 2
+        assert "bad value for key 'lr'" in capsys.readouterr().err
+
     def test_rerun_identical_dataset(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         assert cli.main(["gen", "--config", str(cfg_path)]) == 0
@@ -185,6 +197,16 @@ class TestCmdTrain:
         assert cli.main(["gen", "--config", str(cfg_path)]) == 0
         with np.errstate(all="ignore"):
             assert cli.main(["train", "--config", str(cfg_path)]) == 3
+
+    def test_no_checkpoint_exits_three(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, training={"lr": 1e200, "max_epochs": 1,
+                                                    "batch_size": 4, "seed": 0})
+        assert cli.main(["gen", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert cli.main(["train", "--config", str(cfg_path)]) == 3
+        assert "no checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "train" / "best.ckpt").exists()
 
     def test_non_finite_gradients_exit_three(self, tmp_path, capsys, nan_gradients):
         cfg_path = write_config(tmp_path)
@@ -354,6 +376,13 @@ class TestCmdEval:
 
 
 class TestCmdAblate:
+    def test_seed_flag_is_gone(self, tmp_path):
+        # ablation seeds come from [ablation] seeds; a --seed flag was dead
+        cfg_path = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ablate", "--config", str(cfg_path), "--seed", "3"])
+        assert exc.value.code == 2
+
     def test_failing_variant_partial_table_nonzero_exit(self, tmp_path, capsys):
         # d=16 != backbone C=8, so the no_projection variant cannot build;
         # the other five must still train and land in the table

@@ -3,8 +3,9 @@
 import pytest
 
 from castnet import kvtext
-from castnet.config import AblationSettings, EvalSettings
+from castnet.config import AblationSettings, EvalSettings, parse_experiment_text
 from castnet.errors import ConfigError, FormatError
+from castnet.model import CastConfig
 from castnet.synth import ArtifactSpec, ShiftSpec, SynthConfig
 from castnet.train import TrainConfig
 
@@ -40,6 +41,30 @@ def test_optional_string_reads_none(value):
 def test_errors_name_line_and_key(text, message):
     with pytest.raises(ConfigError, match=message):
         kvtext.decode(SynthConfig, text, "<t>")
+
+
+@pytest.mark.parametrize("line", ["fake_fraction=nan", "fake_fraction=inf",
+                                  "fake_fraction=-inf", "fake_fraction=1e999",
+                                  "artifact_amplitude=NaN", "artifact_region=0,0.1,inf,1",
+                                  "artifact_region=nan,0,1,1"])
+def test_non_finite_float_names_key(line):
+    key = line.split("=")[0]
+    with pytest.raises(ConfigError, match=f"<t>:1: bad value for key '{key}'"):
+        kvtext.decode(SynthConfig, line + "\n", "<t>")
+
+
+@pytest.mark.parametrize("section,line", [
+    ("training", "lr=nan"), ("training", "loss_scale=inf"), ("training", "weight_decay=1e999"),
+    ("ablation", "shift_region_jitter=nan"), ("model", "dropout=nan")])
+def test_non_finite_float_rejected_in_every_section(section, line):
+    key = line.split("=")[0]
+    with pytest.raises(ConfigError, match=f"bad value for key '{key}'"):
+        parse_experiment_text(f"[{section}]\n{line}\n")
+
+
+def test_non_finite_float_in_checkpoint_block():
+    with pytest.raises(ConfigError, match="bad value for key 'dropout'"):
+        kvtext.decode(CastConfig, "dropout=nan\n", "<ckpt>")
 
 
 def test_decode_utf8_raises_the_given_error():

@@ -186,20 +186,35 @@ class TestEncoder:
 
 
 class TestSpatialMean:
+    """forward projects the frame mean of the last map, (B, F, C, H', W') ->
+    (B, H'*W', d), in place of the frame mean of the projected tokens."""
+
+    @staticmethod
+    def _tokens(maps):
+        proj = M.init_cast_params(tiny_cfg(), seed=3).spatial_proj
+        return M.spatial_tokens(T.mean_axis0(maps, axis=1), proj), proj
+
     def test_identical_frames(self):
-        s0 = T.uniform((1, 4, 8), -1, 1, seed=17)
-        s = T.Tensor(np.repeat(s0.data, 3, axis=0))
-        np.testing.assert_allclose(M.spatial_mean(s).data, s0.data[0], atol=1e-15)
+        one = T.uniform((2, 1, 8, 2, 2), -1, 1, seed=17)
+        maps = T.Tensor(np.repeat(one.data, 3, axis=1))
+        got, proj = self._tokens(maps)
+        want = M.spatial_tokens(T.Tensor(one.data[:, 0]), proj)
+        np.testing.assert_allclose(got.data, want.data, atol=1e-15)
 
     def test_opposite_frames_cancel(self):
-        a = T.uniform((1, 4, 8), -1, 1, seed=18)
-        s = T.Tensor(np.concatenate([a.data, -a.data], axis=0))
-        np.testing.assert_allclose(M.spatial_mean(s).data, 0.0, atol=1e-15)
+        a = T.uniform((2, 1, 8, 2, 2), -1, 1, seed=18)
+        maps = T.Tensor(np.concatenate([a.data, -a.data], axis=1))
+        got, proj = self._tokens(maps)
+        np.testing.assert_allclose(got.data, np.broadcast_to(proj.bias.data, (2, 4, 8)),
+                                   atol=1e-15)
 
     def test_matches_loop_mean(self):
-        s = T.uniform((5, 4, 8), -1, 1, seed=19)
-        expected = sum(s.data[i] for i in range(5)) / 5.0
-        np.testing.assert_allclose(M.spatial_mean(s).data, expected, atol=1e-12)
+        maps = T.uniform((2, 5, 8, 2, 2), -1, 1, seed=19)
+        got, proj = self._tokens(maps)
+        for b in range(2):
+            per_frame = M.spatial_tokens(T.Tensor(maps.data[b]), proj).data
+            expected = sum(per_frame[i] for i in range(5)) / 5.0
+            np.testing.assert_allclose(got.data[b], expected, atol=1e-12)
 
 
 def identity_fusion(d=1, out_bias=0.0):
@@ -250,7 +265,8 @@ class TestCrossAttention:
                                              0.0, "eval", 0)
         np.testing.assert_allclose(attn.data, 0.25, atol=1e-12)
         np.testing.assert_allclose(fused.data[0] - fused.data[0], 0.0)
-        rows = M.classify(fused, params.classifier_w, params.classifier_b)[1].data
+        rows = M.classify(T.reshape(fused, (1, 2, 8)), params.classifier_w,
+                          params.classifier_b)[1].data
         assert np.all(np.isfinite(rows))
 
     def test_zero_value_path_residual_degeneracy(self):
@@ -289,15 +305,15 @@ class TestCrossAttention:
 
 class TestClassify:
     def test_zero_weight_gives_bias(self):
-        fused = T.uniform((4, 8), -1, 1, seed=32)
+        fused = T.uniform((1, 4, 8), -1, 1, seed=32)
         w, b = T.zeros((1, 8)), T.Tensor([0.37])
         clip_logit, frame_logits, _ = M.classify(fused, w, b)
         assert clip_logit.item() == 0.37
-        np.testing.assert_array_equal(frame_logits.data, np.full(4, 0.37))
+        np.testing.assert_array_equal(frame_logits.data, np.full((1, 4), 0.37))
 
     def test_identical_tokens(self):
         tok = T.uniform((1, 8), -1, 1, seed=33)
-        fused = T.Tensor(np.repeat(tok.data, 3, axis=0))
+        fused = T.Tensor(np.repeat(tok.data, 3, axis=0)[None])
         w = T.uniform((1, 8), -1, 1, seed=34)
         b = T.Tensor([0.1])
         clip_logit, frame_logits, _ = M.classify(fused, w, b)
@@ -306,7 +322,7 @@ class TestClassify:
         np.testing.assert_allclose(clip_logit.item(), expected, atol=1e-12)
 
     def test_mean_frame_logit_equals_clip_logit(self):
-        fused = T.uniform((16, 8), -3, 3, seed=35)
+        fused = T.uniform((1, 16, 8), -3, 3, seed=35)
         w = T.uniform((1, 8), -1, 1, seed=36)
         b = T.Tensor([-0.2])
         clip_logit, frame_logits, _ = M.classify(fused, w, b)
@@ -531,21 +547,35 @@ class TestFloat32:
 
 
 class TestTapeSize:
-    # tape records of one default train step; a change that moves this count
-    # reports the new count, and the old one, in CHANGES.md
-    DEFAULT_STEP_RECORDS = 194
+    # tape records of one train step; a change that moves a count reports the
+    # new count, and the old one, in CHANGES.md
+    DEFAULT_STEP_RECORDS = 149
+    # per variant at the model shape of acceptance 7 (8-frame 32x32 clips)
+    ABLATION_STEP_RECORDS = {"full": 120, "no_cross_attention": 90,
+                             "decoupled_self_attention": 140, "reversed_qkv": 122,
+                             "multi_scale": 149, "no_projection": 118}
 
-    def test_default_train_step_record_count(self):
-        cfg = M.CastConfig()
+    @staticmethod
+    def _assert_step_records(cfg, pinned):
         params = M.init_cast_params(cfg, seed=0)
-        clips = [synth.generate_clip(i, i % 2, synth.ArtifactSpec()) for i in range(8)]
+        clips = [synth.generate_clip(i, i % 2, synth.ArtifactSpec(), cfg.clip_len)
+                 for i in range(8)]
         out = M.forward(clips, params, cfg, mode="train", seed=list(range(8)))
         losses = bce_with_logits(out.clip_logit, [c.label for c in clips])
         T.scale(T.sum_all(losses), 1.0 / len(clips))
-        assert len(T._tape) == self.DEFAULT_STEP_RECORDS, (
-            f"one default train step now records {len(T._tape)} tape ops, not "
-            f"{self.DEFAULT_STEP_RECORDS}; if intended, update the pin and report "
-            f"the new count in CHANGES.md")
+        assert len(T._tape) == pinned, (
+            f"one train step now records {len(T._tape)} tape ops, not {pinned}; if "
+            f"intended, update the pin and report the new count in CHANGES.md")
+
+    def test_default_train_step_record_count(self):
+        self._assert_step_records(M.CastConfig(), self.DEFAULT_STEP_RECORDS)
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_ablation_shape_record_count(self, variant):
+        cfg = M.CastConfig(backbone_channels=(8, 16, 32), d=32, encoder_layers=1,
+                           heads=4, ffn_dim=128, fusion_heads=4, clip_len=8,
+                           variant=variant)
+        self._assert_step_records(cfg, self.ABLATION_STEP_RECORDS[variant])
 
 
 class TestMultiScale:

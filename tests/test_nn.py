@@ -1,5 +1,8 @@
 """Neural ops against naive-loop oracles, plus their gradient checks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -299,6 +302,66 @@ class TestAvgPool2d:
             return T.sum_all(T.mul(nn.avg_pool2d(x, 2), r))
 
         assert T.grad_check(build, [x]) < 1e-6
+
+
+class TestLeadingAxes:
+    """The map ops take (..., C, H, W): on (2, 3, C, H, W) the output and the
+    input gradient equal the op applied to each (C, H, W) alone, bit for bit,
+    and a parameter gradient equals the sum of the per-image gradients."""
+
+    @staticmethod
+    def _ops(rng):
+        conv = nn.Conv2dParams(kernel=T.Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)), requires_grad=True),
+                               bias=T.Tensor(rng.uniform(-1, 1, 4), requires_grad=True),
+                               stride=2, padding=1)
+        proj = nn.PointwiseProj(weight=T.Tensor(rng.uniform(-1, 1, (5, 3)), requires_grad=True),
+                                bias=T.Tensor(rng.uniform(-1, 1, 5), requires_grad=True))
+        return {"conv2d": (lambda x: nn.conv2d(x, conv), [conv.kernel, conv.bias]),
+                "avg_pool2d": (lambda x: nn.avg_pool2d(x, 2), []),
+                "global_avg_pool": (nn.global_avg_pool, []),
+                "pointwise_project": (lambda x: nn.pointwise_project(x, proj),
+                                      [proj.weight, proj.bias])}
+
+    @staticmethod
+    def _grads(op, x, params, r):
+        T.reset_graph()
+        out = op(x)
+        grads = T.backward(T.sum_all(T.mul(out, T.Tensor(r))))
+        return out.data, grads.of(x).data, [grads.of(p).data for p in params]
+
+    @pytest.mark.parametrize("name", ["conv2d", "avg_pool2d", "global_avg_pool",
+                                      "pointwise_project"])
+    def test_matches_per_image(self, name):
+        rng = np.random.default_rng(41)
+        op, params = self._ops(rng)[name]
+        xd = rng.uniform(-1, 1, (2, 3, 3, 6, 8))
+        x = T.Tensor(xd, requires_grad=True)
+        r = rng.uniform(0.5, 1.5, op(x).shape)
+        out, gx, gp = self._grads(op, x, params, r)
+        assert out.shape[:2] == (2, 3) and gx.shape == xd.shape
+        gp_sum = [np.zeros_like(g) for g in gp]
+        for i in range(2):
+            for j in range(3):
+                xi = T.Tensor(xd[i, j], requires_grad=True)
+                out_i, gx_i, gp_i = self._grads(op, xi, params, r[i, j])
+                np.testing.assert_array_equal(out[i, j], out_i)
+                np.testing.assert_array_equal(gx[i, j], gx_i)
+                for acc, g in zip(gp_sum, gp_i):
+                    acc += g
+        for g, want in zip(gp, gp_sum):
+            np.testing.assert_allclose(g, want, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("name", ["conv2d", "avg_pool2d", "global_avg_pool"])
+    def test_recorded_op_does_not_keep_its_input(self, name):
+        rng = np.random.default_rng(42)
+        op, _ = self._ops(rng)[name]
+        x = T.Tensor(rng.uniform(-1, 1, (2, 3, 6, 8)), requires_grad=True)
+        out = op(x)
+        assert len(T._tape) == 1 and out.requires_grad
+        alive = weakref.ref(x.data)
+        del x
+        gc.collect()
+        assert alive() is None
 
 
 class TestLayerNorm:

@@ -122,6 +122,10 @@ class TestGenerateDataset:
         for rec in read_manifest(tmp_path / "manifest.tsv"):
             assert read_clip(tmp_path / rec.path).label == rec.label
 
+    def test_negative_base_seed_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="base_seed"):
+            synth.generate_dataset(small_cfg(base_seed=-1), tmp_path)
+
 
 class TestShiftedVariant:
     def test_identity_shift_keeps_dataset(self, tmp_path):

@@ -328,6 +328,17 @@ class TestTrainLoop:
             train(tiny_dataset["model_cfg"], tiny_dataset["manifest"],
                   tiny_dataset["manifest"], cfg, tmp_path / "run")
 
+    def test_no_checkpoint_raises_after_history(self, tiny_dataset, tmp_path):
+        # one epoch: a finite first batch loss, then weights that overflow,
+        # so the epoch's validation loss is not finite and nothing is saved
+        cfg = TrainConfig(max_epochs=1, batch_size=4, seed=0, lr=1e200)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="no checkpoint"):
+            train(tiny_dataset["model_cfg"], tiny_dataset["manifest"],
+                  tiny_dataset["manifest"], cfg, tmp_path / "run")
+        assert not (tmp_path / "run" / "best.ckpt").exists()
+        rows = (tmp_path / "run" / "history.tsv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].split("\t")[2] == "nan"
+
     def test_non_finite_gradients_every_step_raise(self, tiny_dataset, tmp_path,
                                                    nan_gradients):
         # finite losses, but every Adam step is skipped: nothing trains
@@ -404,11 +415,17 @@ class TestEvaluate:
         paths = [tmp_path / "data" / r.path for r in data.records if r.split == "test"]
         report = metrics.evaluate(ckpt, data.manifest_path, "frame_mean")
         assert report.scores == per_clip_scores(params, cfg, paths, "frame_mean")
-        # a batch's clip logits are one matrix-vector product over its pooled
-        # rows, a lone clip's one dot product: equal up to summation order
         report = metrics.evaluate(ckpt, data.manifest_path, "clip")
-        np.testing.assert_allclose(report.scores, per_clip_scores(params, cfg, paths, "clip"),
-                                   rtol=1e-14, atol=0)
+        assert report.scores == per_clip_scores(params, cfg, paths, "clip")
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_clip_scores_do_not_depend_on_batch(self, variant):
+        cfg = M.CastConfig(variant=variant)
+        params = M.init_cast_params(cfg, seed=16)
+        clips = [synth.generate_clip(i, i % 2, synth.ArtifactSpec()) for i in range(8)]
+        one = metrics.score_clips(clips, params, cfg, "clip", batch_size=1)
+        eight = metrics.score_clips(clips, params, cfg, "clip", batch_size=8)
+        assert one == eight
 
     def test_mixed_frame_sizes_keep_manifest_order(self, mixed_sizes, tmp_path):
         cfg = tiny_model_cfg()
