@@ -288,11 +288,12 @@ def param_count(cfg: CastConfig) -> int:
 
 
 def backbone_stages(frames: Tensor, backbone: list[Conv2dParams]) -> list[Tensor]:
-    """Per-frame conv stages (conv then rectifier); one output per stage."""
+    """Per-frame conv stages (conv then rectifier, one tape record); one
+    output per stage."""
     outs = []
     x = frames
     for p in backbone:
-        x = T.relu(nn.conv2d(x, p))
+        x = nn.conv2d(x, p, relu=True)
         outs.append(x)
     return outs
 

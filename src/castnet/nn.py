@@ -3,7 +3,10 @@ attention, dropout, and fan-scaled parameter initialization.
 
 Fused ops (conv2d, pooling, linear, layer_norm, softmax, dropout) register
 their own backward rules on the tape through tensor.apply_op; everything
-else is composed from tensor primitives. Leading axes are batch axes
+else is composed from tensor primitives. conv2d can apply its ReLU inside
+the same record; its backward reuses scratch memory kept per thread, so
+concurrent callers never share it. Dropout masks come from a counter-based
+stream (seeding.counter_uniforms), one per seed. Leading axes are batch axes
 throughout: the map ops take (..., C, H, W) and the row ops (..., d). A
 backward rule keeps the shapes and arrays it needs, never an input Tensor,
 so a recorded op does not keep its input alive.
@@ -11,13 +14,15 @@ so a recorded op does not keep its input alive.
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, InvalidRate, ShapeMismatch
-from .seeding import derive_seed
+from .seeding import counter_uniforms, derive_seed
 from .tensor import Tensor, apply_op
 
 
@@ -72,14 +77,18 @@ def _tap_span(offset: int, stride: int, pad: int, size: int, out_size: int):
     return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
 
 
-def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
+def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
     """2-D convolution (cross-correlation) over (..., C, H, W); each index of
     the leading axes is one image, and (C, H, W) is the case with none.
+    relu=True rectifies the output inside the same tape record, exactly as
+    T.relu on the result would.
 
     H_out = floor((H + 2*pad - kh)/stride) + 1, likewise for W. Padding is
-    never materialised: each kernel tap copies only the input it reads from
-    inside the image into a zeroed column buffer, and the backward fold adds
-    each tap's gradient straight back onto the input.
+    never materialised in the forward: each kernel tap copies only the input
+    it reads from inside the image into a zeroed column buffer. The backward
+    writes the column gradient into a per-thread scratch buffer and folds it
+    onto a padded input gradient with one bincount, which adds each site's
+    taps in the same order as a loop over the taps would.
     """
     if x.ndim < 3:
         raise ShapeMismatch(f"conv2d expects (..., C, H, W), got {x.shape}")
@@ -96,37 +105,82 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     xd = x.data.reshape(-1, c, h, w)
     n = xd.shape[0]
 
-    # taps[(i, j)] = (out_rows, out_cols, in_rows, in_cols) of tap (i, j)
-    row_spans = [_tap_span(i, s, pad, h, h_out) for i in range(kh)]
-    col_spans = [_tap_span(j, s, pad, w, w_out) for j in range(kw)]
-    taps = {(i, j): (rs[0], cs[0], rs[1], cs[1])
-            for i, rs in enumerate(row_spans) if rs is not None
-            for j, cs in enumerate(col_spans) if cs is not None}
-
     # im2col: (n, c, kh, kw, h_out, w_out) -> (n, c*kh*kw, h_out*w_out)
     cols = np.zeros((n, c, kh, kw, h_out, w_out), dtype=xd.dtype)
-    for (i, j), (ro, co, ri, ci) in taps.items():
-        cols[:, :, i, j, ro, co] = xd[:, :, ri, ci]
+    row_spans = [_tap_span(i, s, pad, h, h_out) for i in range(kh)]
+    col_spans = [_tap_span(j, s, pad, w, w_out) for j in range(kw)]
+    for i, rs in enumerate(row_spans):
+        for j, cs in enumerate(col_spans):
+            if rs is not None and cs is not None:
+                cols[:, :, i, j, rs[0], cs[0]] = xd[:, :, rs[1], cs[1]]
     cols = cols.reshape(n, c * kh * kw, h_out * w_out)
     kmat = p.kernel.data.reshape(out_ch, -1)
     out = np.matmul(kmat, cols).reshape(lead + (out_ch, h_out, w_out))
     out += p.bias.data[:, None, None]
+    mask = None
+    if relu:
+        T.check_finite("conv2d", out)
+        mask = out > 0
+        np.fmax(out, 0.0, out=out)  # as T.relu: NaN -> 0, -0.0 -> +0.0
 
     need_gx = x.requires_grad
 
     def bwd(g):
+        if mask is not None:
+            g = g * mask
         gm = g.reshape(n, out_ch, h_out * w_out)
         gbias = gm.sum(axis=(0, 2))
-        gkernel = np.tensordot(gm, cols, axes=([0, 2], [0, 2])).reshape(p.kernel.shape)
+        if h_out * w_out >= _BATCHED_KGRAD_SITES:
+            gkernel = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
+        else:
+            gkernel = np.tensordot(gm, cols, axes=([0, 2], [0, 2]))
+        gkernel = gkernel.reshape(p.kernel.shape)
         if not need_gx:  # e.g. the clip frames at stage 0
             return None, gkernel, gbias
-        gcols = np.matmul(kmat.T, gm).reshape(n, c, kh, kw, h_out, w_out)
-        gx = np.zeros((n, c, h, w), dtype=g.dtype)
-        for (i, j), (ro, co, ri, ci) in taps.items():
-            gx[:, :, ri, ci] += gcols[:, :, i, j, ro, co]
-        return gx.reshape(lead + (c, h, w)), gkernel, gbias
+        kt = kmat.T
+        gcols = _scratch((n, c * kh * kw, h_out * w_out), np.result_type(kt, gm))
+        np.matmul(kt, gm, out=gcols)
+        flat = np.bincount(_fold_index(n, c, hp, wp, kh, kw, s, h_out, w_out),
+                           weights=gcols.reshape(-1), minlength=n * c * hp * wp)
+        gx = flat.reshape(n, c, hp, wp)[:, :, pad:pad + h, pad:pad + w]
+        return gx.astype(g.dtype, copy=False).reshape(lead + (c, h, w)), gkernel, gbias
 
     return apply_op("conv2d", out, (x, p.kernel, p.bias), bwd)
+
+
+# Below this many output sites per image, one tensordot over all images beats
+# a per-image batched matmul summed over images; above it, tensordot's
+# contiguous copy of the column buffer dominates.
+_BATCHED_KGRAD_SITES = 64
+_SCRATCH_ENTRIES = 8
+_scratch_local = threading.local()
+
+
+def _scratch(shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised array of this shape and dtype, reused by later calls
+    on the same thread; the caller must be done with it before the next."""
+    if not hasattr(_scratch_local, "bufs"):
+        _scratch_local.bufs = {}
+    bufs = _scratch_local.bufs
+    key = (shape, np.dtype(dtype))
+    if key not in bufs:
+        if len(bufs) >= _SCRATCH_ENTRIES:
+            del bufs[next(iter(bufs))]  # the oldest
+        bufs[key] = np.empty(shape, dtype)
+    return bufs[key]
+
+
+@functools.lru_cache(maxsize=16)
+def _fold_index(n: int, c: int, hp: int, wp: int, kh: int, kw: int, s: int,
+                h_out: int, w_out: int) -> np.ndarray:
+    """For each entry of the column buffer (n, c, kh, kw, h_out, w_out), read
+    flat, its flat position in the padded image stack (n, c, hp, wp)."""
+    rows = np.arange(kh)[:, None] + s * np.arange(h_out)  # (kh, h_out)
+    cols = np.arange(kw)[:, None] + s * np.arange(w_out)  # (kw, w_out)
+    site = rows[:, None, :, None] * wp + cols[None, :, None, :]
+    planes = np.arange(n * c).reshape(n * c, 1, 1, 1, 1) * (hp * wp)
+    # left writeable: bincount copies a read-only index on every call
+    return (planes + site).reshape(-1)
 
 
 def avg_pool2d(x: Tensor, k: int) -> Tensor:
@@ -264,13 +318,20 @@ def dropout(x: Tensor, rate: float, mode: str, seed=0) -> Tensor:
 
 
 def _keep_mask(seed, shape: tuple, rate: float) -> np.ndarray:
-    if isinstance(seed, (tuple, list)):
-        if not shape or len(seed) != shape[0]:
-            raise ShapeMismatch(f"{len(seed)} dropout seeds for a leading axis "
-                                f"of shape {shape}")
-        return np.stack([_keep_mask(s, shape[1:], rate) for s in seed])
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.random(shape) >= rate
+    """Keep flags of this shape. seed is one int in [0, 2**64), or a nested
+    list of them over the leading axes; each seed's block comes from its own
+    counter-based stream, so it does not depend on the other seeds."""
+    try:
+        seeds = np.array(seed, dtype=np.uint64)
+    except OverflowError:
+        raise ConfigError(f"dropout seeds must be in [0, 2**64), got {seed}") from None
+    except ValueError as e:  # ragged nesting
+        raise ShapeMismatch(f"dropout seeds do not nest evenly: {e}") from None
+    if seeds.shape != shape[:seeds.ndim]:
+        raise ShapeMismatch(f"dropout seeds of shape {seeds.shape} for leading axes "
+                            f"of shape {shape}")
+    u = counter_uniforms(seeds, int(np.prod(shape[seeds.ndim:], dtype=np.int64)))
+    return (u >= rate).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ class ArtifactSpec:
     def validate(self) -> None:
         if self.kind not in ARTIFACT_KINDS:
             raise ConfigError(f"unknown artifact kind {self.kind!r}")
-        if self.amplitude < 0:
+        if not self.amplitude >= 0:  # NaN fails too
             raise ConfigError("artifact amplitude must be >= 0")
         if self.kind == "none" and self.amplitude != 0:
             raise ConfigError("artifact kind 'none' requires amplitude 0")
@@ -286,7 +286,7 @@ def shifted_variant(cfg: SynthConfig, shift: ShiftSpec) -> SynthConfig:
     different background, jittered region. An identity shift returns an
     equivalent config (same seed namespace); any real shift also moves the
     seed namespace so shifted clips are fresh draws."""
-    if shift.amplitude_scale <= 0:
+    if not shift.amplitude_scale > 0:  # NaN fails too
         raise ConfigError("amplitude_scale must be positive")
     if shift.background is not None and shift.background not in BACKGROUND_STYLES:
         raise ConfigError(f"unknown background style {shift.background!r}")

@@ -138,6 +138,14 @@ def set_debug_nan_checks(enabled: bool) -> None:
     _debug_nan_checks = bool(enabled)
 
 
+def check_finite(op: str, out_data: np.ndarray) -> None:
+    """With debug NaN checks on, raise NumericalFailure if op's output is not
+    all finite. apply_op calls it; a fused op also calls it on an
+    intermediate it would otherwise hide, such as the input of its ReLU."""
+    if _debug_nan_checks and not np.all(np.isfinite(out_data)):
+        raise NumericalFailure(f"non-finite output from op '{op}'")
+
+
 def apply_op(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
              backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
     """Wrap a computed array as a Tensor and record it on the tape.
@@ -145,8 +153,7 @@ def apply_op(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
     backward_fn(gout) must return one gradient array (or None) per input,
     in order. Used by this module's ops and by fused ops in nn.
     """
-    if _debug_nan_checks and not np.all(np.isfinite(out_data)):
-        raise NumericalFailure(f"non-finite output from op '{op}'")
+    check_finite(op, out_data)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.requires_grad = False

@@ -34,11 +34,12 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.lr <= 0 or self.loss_scale <= 0:
+        # written as not (x > 0) so that NaN, which compares false, fails too
+        if not (self.lr > 0 and self.loss_scale > 0):
             raise ConfigError("lr and loss_scale must be positive")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be >= 1")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ConfigError("weight_decay must be >= 0")
 
 
@@ -158,7 +159,8 @@ def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
           cfg: TrainConfig, out_dir) -> TrainResult:
     """Train with seeded shuffling, save the checkpoint whenever validation
     loss strictly improves, and write a per-epoch history file; raise
-    DivergenceError after it if no epoch saved a checkpoint."""
+    DivergenceError after it if no epoch saved a checkpoint. A best.ckpt
+    already in out_dir is removed before the first epoch."""
     cfg.validate()
     model_cfg.validate()
     train_set = load_split(train_manifest, "train")
@@ -169,6 +171,10 @@ def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(os.fspath(out_dir), "best.ckpt")
     history_path = os.path.join(os.fspath(out_dir), "history.tsv")
+    try:  # a checkpoint left by an earlier run must not outlive this one
+        os.remove(ckpt_path)
+    except FileNotFoundError:
+        pass
 
     params = M.init_cast_params(model_cfg, derive_seed(cfg.seed, "init"))
     tensors = params.all_tensors()

@@ -208,6 +208,19 @@ class TestCmdTrain:
         assert "no checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "out" / "train" / "best.ckpt").exists()
 
+    def test_failed_rerun_leaves_no_stale_checkpoint(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        assert cli.main(["gen", "--config", str(cfg_path)]) == 0
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = tmp_path / "out" / "train" / "best.ckpt"
+        assert ckpt.exists()
+        diverging = write_config(tmp_path, name="diverge.cfg",
+                                 training={"lr": 1e200, "max_epochs": 1,
+                                           "batch_size": 4, "seed": 0})
+        with np.errstate(all="ignore"):
+            assert cli.main(["train", "--config", str(diverging)]) == 3
+        assert not ckpt.exists()
+
     def test_non_finite_gradients_exit_three(self, tmp_path, capsys, nan_gradients):
         cfg_path = write_config(tmp_path)
         assert cli.main(["gen", "--config", str(cfg_path)]) == 0

@@ -1,6 +1,7 @@
 """Neural ops against naive-loop oracles, plus their gradient checks."""
 
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 
 from castnet import nn
 from castnet import tensor as T
-from castnet.errors import ConfigError, InvalidRate, ShapeMismatch
-from castnet.seeding import derive_seed
+from castnet.errors import ConfigError, InvalidRate, NumericalFailure, ShapeMismatch
+from castnet.seeding import _GAMMA, _MASK, _splitmix64, derive_seed
 
 
 @pytest.fixture(autouse=True)
@@ -157,6 +158,147 @@ class TestConv2d:
         monkeypatch.setattr(nn, "apply_op", capture)
         nn.conv2d(T.Tensor(xd), p)
         assert backward_fns[-1](np.ones((2, 4, 4, 4)))[0] is None
+
+
+def conv_backward_fn(monkeypatch, x, p, relu=False):
+    """conv2d's output and the backward_fn it hands to apply_op."""
+    captured = []
+
+    def capture(op, out_data, inputs, backward_fn):
+        captured.append(backward_fn)
+        return T.apply_op(op, out_data, inputs, backward_fn)
+    monkeypatch.setattr(nn, "apply_op", capture)
+    out = nn.conv2d(x, p, relu=relu)
+    monkeypatch.undo()
+    return out.data, captured[-1]
+
+
+def random_conv(rng, x_shape, out_ch, k, stride, pad, dtype=np.float64):
+    x = T.Tensor(rng.uniform(-1, 1, x_shape), requires_grad=True, dtype=dtype)
+    p = nn.Conv2dParams(
+        kernel=T.Tensor(rng.uniform(-1, 1, (out_ch, x_shape[-3], k, k)),
+                        requires_grad=True, dtype=dtype),
+        bias=T.Tensor(rng.uniform(-0.5, 0.5, out_ch), requires_grad=True, dtype=dtype),
+        stride=stride, padding=pad)
+    return x, p
+
+
+class TestConv2dBackward:
+    """The fused ReLU, the two kernel-gradient paths and the bincount fold."""
+
+    # 8x8 = 64 output sites per image takes the batched kernel gradient,
+    # 4x4 = 16 the tensordot one
+    @pytest.mark.parametrize("x_shape", [(2, 3, 3, 16, 16), (3, 4, 8, 8)])
+    def test_fused_relu_matches_relu_of_conv(self, x_shape):
+        rng = np.random.default_rng(51)
+        x, p = random_conv(rng, x_shape, 5, 3, 2, 1)
+        r = T.Tensor(rng.uniform(0.5, 1.5, nn.conv2d(x, p).shape))
+
+        def run(fused):
+            T.reset_graph()
+            out = nn.conv2d(x, p, relu=True) if fused else T.relu(nn.conv2d(x, p))
+            g = T.backward(T.sum_all(T.mul(out, r)))
+            return out.data, [g.of(t).data for t in (x, p.kernel, p.bias)]
+
+        out_f, (gx_f, gk_f, gb_f) = run(True)
+        out_u, (gx_u, gk_u, gb_u) = run(False)
+        assert len(T._tape) == 4  # conv, relu, mul, sum_all of the unfused run
+        assert 0 < np.count_nonzero(out_f) < out_f.size
+        np.testing.assert_array_equal(out_f, out_u)
+        np.testing.assert_array_equal(gx_f, gx_u)
+        np.testing.assert_allclose(gk_f, gk_u, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(gb_f, gb_u, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("x_shape", [(2, 2, 6, 6), (2, 2, 16, 18)])
+    def test_fused_relu_gradients(self, x_shape):
+        rng = np.random.default_rng(52)
+        x, p = random_conv(rng, x_shape, 3, 3, 2, 1)
+        r = T.Tensor(rng.uniform(0.5, 1.5, nn.conv2d(x, p).shape))
+
+        def build():
+            return T.sum_all(T.mul(nn.conv2d(x, p, relu=True), r))
+
+        assert T.grad_check(build, [x, p.kernel, p.bias], eps=1e-6) < 1e-6
+
+    def test_fused_relu_flags_the_hidden_nan(self):
+        x = T.Tensor(np.full((1, 4, 4), np.nan), requires_grad=True)
+        p = nn.Conv2dParams(kernel=T.ones((1, 1, 3, 3)), bias=T.zeros((1,)), padding=1)
+        assert np.array_equal(nn.conv2d(x, p, relu=True).data, np.zeros((1, 4, 4)))
+        T.set_debug_nan_checks(True)
+        try:
+            with pytest.raises(NumericalFailure, match="conv2d"):
+                nn.conv2d(x, p, relu=True)
+        finally:
+            T.set_debug_nan_checks(False)
+
+    @pytest.mark.parametrize("stride,pad,k,shape", [
+        (3, 0, 3, (2, 8, 8)),
+        (3, 1, 3, (2, 9, 7)),
+        (1, 2, 5, (2, 6, 9)),
+        (2, 2, 5, (3, 7, 6)),
+        (3, 2, 3, (2, 2, 2)),  # kernel row 1 and column 1 read only padding
+        (2, 1, 3, (2, 2, 7, 5)),
+        (2, 1, 3, (2, 4, 16, 16)),
+    ])
+    def test_fold_equals_strided_adds(self, monkeypatch, stride, pad, k, shape):
+        rng = np.random.default_rng(53)
+        x, p = random_conv(rng, shape, 3, k, stride, pad)
+        out, bwd = conv_backward_fn(monkeypatch, x, p)
+        g = rng.uniform(-1, 1, out.shape)
+        gx = bwd(g)[0]
+
+        # reference: the column gradient added back tap by tap
+        c, h, w = shape[-3:]
+        h_out, w_out = out.shape[-2:]
+        gm = g.reshape(-1, 3, h_out * w_out)
+        gcols = np.matmul(p.kernel.data.reshape(3, -1).T, gm).reshape(
+            len(gm), c, k, k, h_out, w_out)
+        want = np.zeros((len(gm), c, h, w))
+        for i in range(k):
+            for j in range(k):
+                rs = nn._tap_span(i, stride, pad, h, h_out)
+                cs = nn._tap_span(j, stride, pad, w, w_out)
+                if rs is not None and cs is not None:
+                    want[:, :, rs[1], cs[1]] += gcols[:, :, i, j, rs[0], cs[0]]
+        np.testing.assert_array_equal(gx, want.reshape(shape))
+
+    @pytest.mark.parametrize("x_shape", [(2, 3, 16, 16), (2, 3, 8, 8)])
+    def test_float32_input_keeps_float32_gradients(self, monkeypatch, x_shape):
+        rng = np.random.default_rng(54)
+        x, p = random_conv(rng, x_shape, 4, 3, 2, 1, dtype=np.float32)
+        out, bwd = conv_backward_fn(monkeypatch, x, p, relu=True)
+        assert out.dtype == np.float32
+        grads = bwd(np.ones_like(out))
+        assert [g.dtype for g in grads] == [np.float32] * 3
+        x64, p64 = random_conv(np.random.default_rng(54), x_shape, 4, 3, 2, 1)
+        _, bwd64 = conv_backward_fn(monkeypatch, x64, p64, relu=True)
+        for g32, g64 in zip(grads, bwd64(np.ones(out.shape))):
+            np.testing.assert_allclose(g32, g64, rtol=1e-4, atol=1e-4)
+
+    def test_threads_share_no_scratch_buffer(self, monkeypatch):
+        rng = np.random.default_rng(55)
+        x, p = random_conv(rng, (4, 4, 16, 16), 8, 3, 2, 1)
+        out, bwd = conv_backward_fn(monkeypatch, x, p, relu=True)
+        gs = [rng.uniform(-1, 1, out.shape) for _ in range(2)]
+        want = [bwd(g) for g in gs]
+        got = [[], []]
+        start = threading.Barrier(2)
+
+        def work(t):
+            start.wait()
+            for _ in range(50):
+                got[t].append(bwd(gs[t]))
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        for t in range(2):
+            assert len(got[t]) == 50
+            for grads in got[t]:
+                for a, b in zip(grads, want[t]):
+                    np.testing.assert_array_equal(a, b)
 
 
 class TestLinear:
@@ -472,6 +614,32 @@ class TestDropout:
         x = T.uniform((10,), -1, 1, seed=1)
         for mode in ("train", "eval"):
             assert np.array_equal(nn.dropout(x, 0.0, mode, seed=5).data, x.data)
+
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
+    def test_kept_fraction_per_rate(self, rate):
+        n = 100_000
+        out = nn.dropout(T.ones((n,)), rate, "train", seed=2024).data
+        assert abs(np.count_nonzero(out) / n - (1.0 - rate)) < 0.01
+
+    def test_mask_stream_is_pinned(self):
+        # entry i of seed s keeps iff (splitmix64(s + i*gamma) >> 11) * 2**-53 >= rate
+        seed = 20240917
+        mask = nn._keep_mask(seed, (16,), 0.5)
+        scalar = [(_splitmix64((seed + i * _GAMMA) & _MASK) >> 11) * 2.0 ** -53 >= 0.5
+                  for i in range(16)]
+        assert mask.tolist() == scalar
+        assert "".join("1" if b else "0" for b in mask) == "1101010111000010"
+
+    @pytest.mark.parametrize("seed,error", [
+        (-1, ConfigError),
+        (1 << 64, ConfigError),
+        ([1, 2, [3, 4]], ShapeMismatch),
+        ([[1, 2], [3, 4], 5], ShapeMismatch),
+        ([[1, 2], [3]], ShapeMismatch),
+    ])
+    def test_bad_seeds_raise_cast_errors(self, seed, error):
+        with pytest.raises(error):
+            nn.dropout(T.ones((3, 2, 4)), 0.4, "train", seed=seed)
 
     def test_kept_fraction_and_expectation(self):
         n = 100_000

@@ -118,6 +118,18 @@ def _grad_map_for(params, arrays):
     return gm
 
 
+@pytest.mark.parametrize("make", [
+    lambda: TrainConfig(lr=np.nan).validate(),
+    lambda: TrainConfig(loss_scale=np.nan).validate(),
+    lambda: TrainConfig(weight_decay=np.nan).validate(),
+    lambda: synth.ArtifactSpec(amplitude=np.nan).validate(),
+    lambda: synth.shifted_variant(tiny_synth_cfg(), synth.ShiftSpec(amplitude_scale=np.nan)),
+], ids=["lr", "loss_scale", "weight_decay", "amplitude", "amplitude_scale"])
+def test_nan_fails_validation(make):
+    with pytest.raises(ConfigError):
+        make()
+
+
 class TestAdamStep:
     def test_zero_gradient_no_movement(self):
         p = T.Tensor([1.0, -2.0], requires_grad=True)
