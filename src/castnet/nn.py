@@ -321,6 +321,8 @@ def _keep_mask(seed, shape: tuple, rate: float) -> np.ndarray:
     """Keep flags of this shape. seed is one int in [0, 2**64), or a nested
     list of them over the leading axes; each seed's block comes from its own
     counter-based stream, so it does not depend on the other seeds."""
+    if not _is_int_seed(seed):  # numpy would truncate 1.5 and accept "3" or True
+        raise ConfigError(f"dropout seeds must be ints, got {seed!r}")
     try:
         seeds = np.array(seed, dtype=np.uint64)
     except OverflowError:
@@ -332,6 +334,12 @@ def _keep_mask(seed, shape: tuple, rate: float) -> np.ndarray:
                             f"of shape {shape}")
     u = counter_uniforms(seeds, int(np.prod(shape[seeds.ndim:], dtype=np.int64)))
     return (u >= rate).reshape(shape)
+
+
+def _is_int_seed(seed) -> bool:
+    if isinstance(seed, (list, tuple)):
+        return all(_is_int_seed(s) for s in seed)
+    return isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def plan_sampling(f_orig: float, r: float, total_frames: int,
 
 
 def normalize_frame(frame: Tensor, spec: NormalizationSpec = NormalizationSpec()) -> Tensor:
-    """Per-channel (x - mean) / std over a (3,H,W) frame in [0,1]."""
+    """Per-channel (x - mean) / std over (..., 3, H, W) frames in [0,1]."""
     mean = np.asarray(spec.mean, dtype=frame.data.dtype)[:, None, None]
     std = np.asarray(spec.std, dtype=frame.data.dtype)[:, None, None]
     return Tensor((frame.data - mean) / std, dtype=frame.data.dtype)

@@ -7,6 +7,12 @@ additionally carry one artifact kind inside a normalized region: per-frame
 brightness flicker, periodic patch warp, or a static texture seam. Base
 content is drawn identically for both labels from the same seed, so a real
 and a fake clip with equal seeds differ only inside the artifact region.
+
+A clip is drawn in one array pass over its frames: the per-frame face drift,
+lighting and flutter are (F,) arrays, the blobs are (F,H,W) planes built from
+separable row and column distance terms, and the channel blend, flicker and
+normalisation each run once over the whole (F,3,H,W) clip. Only warp rolls
+frame by frame, since its shift changes from frame to frame.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from .preprocess import (
     ClipRecord,
     FrameClip,
     LABEL_FAKE,
-    NormalizationSpec,
     normalize_frame,
     write_clip,
     write_manifest,
@@ -82,8 +87,7 @@ class SynthConfig:
     def validate(self) -> None:
         if min(self.n_train, self.n_val, self.n_test) < 1:
             raise ConfigError("all split counts must be >= 1")
-        if self.frames < 2:
-            raise ConfigError("clips need at least 2 frames")
+        _check_shape(self.frames, self.h, self.w)
         if not (0 < self.fake_fraction < 1):
             raise ConfigError("fake_fraction must be in (0,1)")
         if self.base_seed < 0:
@@ -109,6 +113,13 @@ class DatasetManifest:
     config_snapshot: str
 
 
+def _check_shape(frames: int, h: int, w: int) -> None:
+    if frames < 2:
+        raise ConfigError("clips need at least 2 frames")
+    if h < 2 or w < 2:  # pixel coordinates divide by h-1 and w-1
+        raise ConfigError(f"frames need h >= 2 and w >= 2, got {h}x{w}")
+
+
 def region_pixels(region, h: int, w: int) -> tuple[int, int, int, int]:
     """Scale a normalized (x0,y0,x1,y1) box to pixel bounds."""
     x0, y0, x1, y1 = region
@@ -120,7 +131,9 @@ def region_pixels(region, h: int, w: int) -> tuple[int, int, int, int]:
 
 
 def _soft_blob(yy, xx, cy, cx, ry, rx, sharp=6.0):
-    """Smooth indicator of an ellipse, 1 inside fading to 0 outside."""
+    """Smooth indicator of an ellipse, 1 inside fading to 0 outside. yy is an
+    (H,1) column and xx a (1,W) row of coordinates, so the distance is a row
+    term plus a column term; the centres may carry leading (frame) axes."""
     dist = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(sharp * (dist - 1.0)))
@@ -129,9 +142,8 @@ def _soft_blob(yy, xx, cy, cx, ry, rx, sharp=6.0):
 def _draw_base_clip(rng: np.random.Generator, frames: int, h: int, w: int,
                     background_style: str) -> np.ndarray:
     """Procedural face-like clip in [_PIXEL_LO, _PIXEL_HI], shape (F,3,H,W)."""
-    yy, xx = np.mgrid[0:h, 0:w]
-    yy = yy / (h - 1)
-    xx = xx / (w - 1)
+    yy = np.arange(h)[:, None] / (h - 1)
+    xx = np.arange(w)[None, :] / (w - 1)
 
     # background
     if background_style == "smooth_gradient":
@@ -170,31 +182,36 @@ def _draw_base_clip(rng: np.random.Generator, frames: int, h: int, w: int,
     flutter_amp = rng.uniform(0.015, 0.045)
     flutter_sign = rng.choice([-1.0, 1.0])
 
-    clip = np.empty((frames, 3, h, w))
-    for t in range(frames):
-        phase = 2 * np.pi * t / frames
-        cy = face_cy + drift_amp[0] * np.sin(phase + drift_phase[0])
-        cx = face_cx + drift_amp[1] * np.sin(phase + drift_phase[1])
-        face = _soft_blob(yy, xx, cy, cx, face_ry, face_rx)
-        eyes = (_soft_blob(yy, xx, cy + eye_dy, cx - eye_dx, eye_r, eye_r, 10.0)
-                + _soft_blob(yy, xx, cy + eye_dy, cx + eye_dx, eye_r, eye_r, 10.0))
-        mouth = _soft_blob(yy, xx, cy + mouth_dy, cx, 0.05, mouth_rx, 10.0)
-        frame = bg.copy()
-        for ch in range(3):
-            frame[ch] = frame[ch] * (1 - face) + face_rgb[ch] * face
-            frame[ch] = frame[ch] * (1 - eyes) + eye_rgb[ch] * np.minimum(eyes, 1.0)
-            frame[ch] = frame[ch] * (1 - mouth) + mouth_rgb[ch] * mouth
-        frame += light_amp * np.sin(2 * np.pi * light_freq * t / frames + light_phase)
-        frame += flutter_amp * flutter_sign * (1.0 if t % 2 == 0 else -1.0)
-        clip[t] = frame
-    return np.clip(clip, _PIXEL_LO, _PIXEL_HI)
+    # per-frame (F,) terms. Each sine stays a scalar call: an array sine may
+    # take a SIMD path that rounds differently in the last bit.
+    phase = [2 * np.pi * t / frames for t in range(frames)]
+    cy = face_cy + drift_amp[0] * np.array([np.sin(p + drift_phase[0]) for p in phase])
+    cx = face_cx + drift_amp[1] * np.array([np.sin(p + drift_phase[1]) for p in phase])
+    cy, cx = cy[:, None, None], cx[:, None, None]
+    light = light_amp * np.array([np.sin(2 * np.pi * light_freq * t / frames + light_phase)
+                                  for t in range(frames)])
+    flutter = flutter_amp * flutter_sign * _square_wave(frames, 2)
+
+    # (F,1,H,W) blobs blend over (3,1,1) colours in one pass for all frames
+    face = _soft_blob(yy, xx, cy, cx, face_ry, face_rx)[:, None]
+    eyes = (_soft_blob(yy, xx, cy + eye_dy, cx - eye_dx, eye_r, eye_r, 10.0)
+            + _soft_blob(yy, xx, cy + eye_dy, cx + eye_dx, eye_r, eye_r, 10.0))[:, None]
+    mouth = _soft_blob(yy, xx, cy + mouth_dy, cx, 0.05, mouth_rx, 10.0)[:, None]
+    clip = bg * (1 - face)
+    clip += face_rgb[:, None, None] * face
+    clip *= 1 - eyes
+    clip += eye_rgb[:, None, None] * np.minimum(eyes, 1.0)
+    clip *= 1 - mouth
+    clip += mouth_rgb[:, None, None] * mouth
+    clip += light[:, None, None, None]
+    clip += flutter[:, None, None, None]
+    return np.clip(clip, _PIXEL_LO, _PIXEL_HI, out=clip)
 
 
-def _flicker_sign(t: int, period: int) -> float:
-    """Square wave of the given full-cycle period: +1 half, -1 half."""
-    if period == 1:
-        return 1.0
-    return 1.0 if (t % period) < (period + 1) // 2 else -1.0
+def _square_wave(frames: int, period: int) -> np.ndarray:
+    """+1 / -1 per frame, with the given full-cycle period: +1 for the first
+    half of each cycle (rounded up), -1 for the rest."""
+    return np.where(np.arange(frames) % period < (period + 1) // 2, 1.0, -1.0)
 
 
 def _apply_artifact(clip: np.ndarray, spec: ArtifactSpec) -> np.ndarray:
@@ -204,29 +221,26 @@ def _apply_artifact(clip: np.ndarray, spec: ArtifactSpec) -> np.ndarray:
     frames, _, h, w = clip.shape
     px0, py0, px1, py1 = region_pixels(spec.region, h, w)
     out = clip.copy()
+    region = out[:, :, py0:py1, px0:px1]
     kinds = ("flicker", "warp", "texture_seam") if spec.kind == "combined" else (spec.kind,)
     region_w = px1 - px0
     region_h = py1 - py0
 
-    if "warp" in kinds:
+    if "warp" in kinds:  # the shift changes per frame, so one roll per frame
         for t in range(frames):
             phase = 2 * np.pi * t / spec.period
             sx = int(round(spec.amplitude * 0.5 * region_w * np.sin(phase)))
             sy = int(round(spec.amplitude * 0.5 * region_h * np.cos(phase)))
-            patch = out[t, :, py0:py1, px0:px1]
-            out[t, :, py0:py1, px0:px1] = np.roll(patch, (sy, sx), axis=(1, 2))
+            region[t] = np.roll(region[t], (sy, sx), axis=(1, 2))
 
     if "flicker" in kinds:
-        for t in range(frames):
-            out[t, :, py0:py1, px0:px1] += spec.amplitude * _flicker_sign(
-                t, spec.period)
+        region += (spec.amplitude * _square_wave(frames, spec.period))[:, None, None, None]
 
     if "texture_seam" in kinds:
         cols = np.arange(px0, px1)
-        stripe = np.where(cols % 2 == 0, spec.amplitude, -spec.amplitude)
-        out[:, :, py0:py1, px0:px1] += stripe[None, None, None, :]
+        region += np.where(cols % 2 == 0, spec.amplitude, -spec.amplitude)
 
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def generate_clip(seed: int, label: int, spec: ArtifactSpec, frames: int = 16,
@@ -235,15 +249,12 @@ def generate_clip(seed: int, label: int, spec: ArtifactSpec, frames: int = 16,
                   source_id: Optional[str] = None) -> FrameClip:
     """Deterministic clip for (seed, label, spec); label 1 plants the artifact."""
     spec.validate()
-    if frames < 2:
-        raise ConfigError("clips need at least 2 frames")
+    _check_shape(frames, h, w)
     rng = np.random.Generator(np.random.PCG64(seed))
     raw = _draw_base_clip(rng, frames, h, w, background_style)
     if label == LABEL_FAKE:
         raw = _apply_artifact(raw, spec)
-    spec_norm = NormalizationSpec()
-    stacked = np.stack([normalize_frame(Tensor(f), spec_norm).data for f in raw])
-    return FrameClip(frames=Tensor(stacked),
+    return FrameClip(frames=normalize_frame(Tensor(raw)),
                      label=int(label),
                      source_id=source_id or f"synth-{seed:016x}",
                      f_orig=30.0, r=30.0)

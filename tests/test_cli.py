@@ -120,6 +120,13 @@ class TestCmdGen:
         assert cli.main(["gen", "--config", str(path)]) == 2
         assert "bad value for key 'dir'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", [{"h": 1}, {"w": 1}, {"h": 0}])
+    def test_degenerate_frame_size_exits_two(self, tmp_path, capsys, size):
+        path = write_config(tmp_path, synth=size)
+        assert cli.main(["gen", "--config", str(path)]) == 2
+        assert "h >= 2 and w >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "data").exists()
+
     def test_missing_config_exits_two(self, tmp_path):
         assert cli.main(["gen", "--config", str(tmp_path / "nope.cfg")]) == 2
 

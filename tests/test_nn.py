@@ -636,10 +636,26 @@ class TestDropout:
         ([1, 2, [3, 4]], ShapeMismatch),
         ([[1, 2], [3, 4], 5], ShapeMismatch),
         ([[1, 2], [3]], ShapeMismatch),
+        (1.5, ConfigError),
+        ("3", ConfigError),
+        (True, ConfigError),
+        (None, ConfigError),
+        ([1.0, 2.0, 3.0, 4.0], ConfigError),
+        ([[1, 2], [3, 4.0], [5, 6]], ConfigError),
     ])
     def test_bad_seeds_raise_cast_errors(self, seed, error):
         with pytest.raises(error):
             nn.dropout(T.ones((3, 2, 4)), 0.4, "train", seed=seed)
+
+    def test_seeds_span_all_64_bits(self):
+        # derive_seed values fall on both sides of 2**63 within one nested list
+        x = T.uniform((2, 2, 6), -1, 1, seed=8)
+        seeds = [[(1 << 64) - 1, 5], (1 << 63, np.uint64(7))]
+        out = nn.dropout(x, 0.4, "train", seed=seeds).data
+        for h in range(2):
+            for b in range(2):
+                alone = nn.dropout(T.Tensor(x.data[h, b]), 0.4, "train", seed=seeds[h][b]).data
+                assert np.array_equal(out[h, b], alone)
 
     def test_kept_fraction_and_expectation(self):
         n = 100_000

@@ -1,12 +1,14 @@
 """Synthetic clip generator: determinism, artifact locality and structure,
 dataset assembly, distribution shifts, and the no-signal sanity floor."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from castnet import synth
 from castnet.errors import ConfigError, InvalidRegion
-from castnet.preprocess import read_clip, read_manifest
+from castnet.preprocess import clip_to_bytes, read_clip, read_manifest
 
 
 def small_cfg(**kw):
@@ -61,6 +63,14 @@ class TestGenerateClip:
         assert max(lags, key=lags.get) == 2
         assert lags[2] > 0.5
         assert lags[1] < 0.0  # adjacent frames anti-correlate
+
+    @pytest.mark.parametrize("h,w", [(1, 32), (32, 1), (1, 1), (0, 8), (8, 0)])
+    def test_degenerate_frame_size_rejected(self, h, w):
+        # h=1 or w=1 divided by zero, and h=0 or w=0 gave empty clips
+        with pytest.raises(ConfigError, match="h >= 2 and w >= 2"):
+            synth.generate_clip(1, 0, synth.ArtifactSpec(), 4, h, w)
+        with pytest.raises(ConfigError, match="h >= 2 and w >= 2"):
+            small_cfg(h=h, w=w).validate()
 
     def test_region_must_fit_frame(self):
         spec = synth.ArtifactSpec(region=(0.49, 0.49, 0.51, 0.51))
@@ -125,6 +135,72 @@ class TestGenerateDataset:
     def test_negative_base_seed_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="base_seed"):
             synth.generate_dataset(small_cfg(base_seed=-1), tmp_path)
+
+
+# SHA-256 digests of the generator's output (x86-64, numpy 2.4): any change
+# to the drawing arithmetic or to the RNG draw order moves them, and so would
+# a libm whose exp or sin rounds differently. Clips: seed 2024, label 1,
+# amplitude 0.6 (0 for "none"), period 4, so that every artifact kind changes
+# pixels at both shapes.
+CLIP_DIGESTS = {
+    ("none", "smooth_gradient", (4, 8, 8)):
+        "3d4864410240b864d178fea3ce560be8d8bb3426d2d95f465905e98285e79f30",
+    ("none", "smooth_gradient", (3, 10, 14)):
+        "7d66b9d05f830abb44a6b01a02f6410cb84cc6b4ec286e9336efc87a816d5aeb",
+    ("none", "blotchy", (4, 8, 8)):
+        "9771c8e567d8bcd97927fde6f77be60273cd48a6956c26c41f8573514f7c8b54",
+    ("none", "blotchy", (3, 10, 14)):
+        "b3e5b4d8721dac62ce7694056ea954393752e97a4ba963202ff8ee0f376246cc",
+    ("texture_seam", "smooth_gradient", (4, 8, 8)):
+        "9569f507ff740e6a3562d8a709d9d50cb763b02011cf7edc3f92252cbdbca927",
+    ("texture_seam", "smooth_gradient", (3, 10, 14)):
+        "e06a4e1de5dc4f454504430c7453fa2af3d34fbaf6dc660dc676abb34724b5a2",
+    ("texture_seam", "blotchy", (4, 8, 8)):
+        "4c8f9edbfa49034573faaad56db58e0288a4b8d0d7a5543fb6db3e69cbea27b1",
+    ("texture_seam", "blotchy", (3, 10, 14)):
+        "88b622196c9d3365be27242ceccdae75d0ccd737c57a187f33af0468fb1d48b7",
+    ("flicker", "smooth_gradient", (4, 8, 8)):
+        "f5793414789b8e54a09feefae175694df08f0f9f807a64b9c03af346881dde71",
+    ("flicker", "smooth_gradient", (3, 10, 14)):
+        "310775552d7f76864dcbff7b7800668e7d811e1d90353da28b7bbfbe5d024cfd",
+    ("flicker", "blotchy", (4, 8, 8)):
+        "3dc0a055ea8faecbab4755cb4b6e339a98f0e5361a64b691644cb0cc06f444a0",
+    ("flicker", "blotchy", (3, 10, 14)):
+        "c06a704b684afbb8be76784707bb298c0eb5f61d725a6f5106da28796f9845d5",
+    ("warp", "smooth_gradient", (4, 8, 8)):
+        "e3055bc8ce7456f17b33fb2c5d60c4699454d64c223ac2097619d04b2dfc648b",
+    ("warp", "smooth_gradient", (3, 10, 14)):
+        "105bf907ba31fbd904ac1b81ef6012960d06c79054fa427b802e7d7f7c27618f",
+    ("warp", "blotchy", (4, 8, 8)):
+        "1d7b7f2d0179108719a713e99afed4c3d010f71f7176a11a8ad4272644c4a6df",
+    ("warp", "blotchy", (3, 10, 14)):
+        "4aeee6e3e48aeec81c5c174eaebc9b1b7f5d2a59384548d501f26e1bcdc21f15",
+    ("combined", "smooth_gradient", (4, 8, 8)):
+        "94938ad1d69e10cdd8bfe0651facaf9e2e00267063b4e07f724a8fbca61cf9e2",
+    ("combined", "smooth_gradient", (3, 10, 14)):
+        "03550e8a77a5182e46ed3444d68b2266228192f843e1785d3a773682218962f5",
+    ("combined", "blotchy", (4, 8, 8)):
+        "35a8c0968dd1aa2ebf3acebe6aab77ec80c75e478bc2eea389a8e1e01db8df8c",
+    ("combined", "blotchy", (3, 10, 14)):
+        "af1e5ceb11d0cb618de4ab2fe47aae02e95165b529b2319c58be3fcecdd5071a",
+}
+DATASET_DIGEST = "09d587a2eefe86b42f7fc894a461be0b5203749e7c8987ff359afacad52fd3be"
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("kind,style,shape", sorted(CLIP_DIGESTS))
+    def test_clip_bytes(self, kind, style, shape):
+        spec = synth.ArtifactSpec(kind=kind, amplitude=0.0 if kind == "none" else 0.6,
+                                  period=4)
+        clip = synth.generate_clip(2024, 1, spec, *shape, background_style=style)
+        digest = hashlib.sha256(clip_to_bytes(clip)).hexdigest()
+        assert digest == CLIP_DIGESTS[kind, style, shape]
+
+    def test_dataset_bytes(self, tmp_path):
+        cfg = small_cfg(background_style="blotchy",
+                        artifact=synth.ArtifactSpec(kind="combined"))
+        synth.generate_dataset(cfg, tmp_path)
+        assert synth.dataset_checksum(tmp_path) == DATASET_DIGEST
 
 
 class TestShiftedVariant:
