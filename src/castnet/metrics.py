@@ -3,7 +3,6 @@ scoring, and checkpoint evaluation over a manifest."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -12,7 +11,7 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .errors import ConfigError, DegenerateEval, EmptyEval, NumericalFailure, ShapeMismatch
-from .preprocess import FrameClip, read_clip, read_manifest
+from .preprocess import FrameClip, load_split, read_clip
 from .tensor import stable_sigmoid
 
 # clips per batched forward in evaluate; 32 measured no faster than 8
@@ -151,18 +150,16 @@ def evaluate(checkpoint_path, manifest_path,
     """Score every clip in the manifest with a trained checkpoint.
 
     Mixed-split manifests are reduced to their test rows; pre-filtered
-    manifests are used whole. Clips are read as they are scored, in batches
-    of EVAL_BATCH, and the scores keep manifest order.
+    manifests are used whole. Every clip header is checked before scoring;
+    clips are read as they are scored, in batches of EVAL_BATCH, and the
+    scores keep manifest order.
     """
     cfg, params = M.load_checkpoint(checkpoint_path)
     mode = eval_logit_mode or cfg.eval_logit_mode
-    manifest_path = os.fspath(manifest_path)
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    records = read_manifest(manifest_path)
-    chosen = [r for r in records if r.split == "test"] or records
-    clips = (read_clip(os.path.join(base, rec.path)) for rec in chosen)
+    rows = load_split(manifest_path, "test")
+    clips = (read_clip(path) for path, _ in rows)
     _, scores = score_clips(clips, params, cfg, mode, EVAL_BATCH)
-    return report_from_scores(scores, [r.label for r in chosen])
+    return report_from_scores(scores, [label for _, label in rows])
 
 
 def format_report(report: EvalReport) -> str:

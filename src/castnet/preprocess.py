@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import EmptyVideo, FormatError, InvalidRate
 from .kvtext import decode_utf8
-from .tensor import Tensor, tensor_from_bytes, tensor_to_bytes
+from .tensor import (TENSOR_HEADER_MAX, Tensor, tensor_from_bytes, tensor_header,
+                     tensor_to_bytes)
 
 # ImageNet channel statistics; inputs are real-valued in [0,1] before this.
 DEFAULT_MEAN = (0.485, 0.456, 0.406)
@@ -26,6 +27,10 @@ CLIP_VERSION = 1
 
 LABEL_REAL = 0
 LABEL_FAKE = 1
+
+# the longest clip header: magic, version, label, the longest source id,
+# the two rates and the longest tensor header
+CLIP_HEADER_MAX = len(CLIP_MAGIC) + 5 + 0xFFFF + 16 + TENSOR_HEADER_MAX
 
 
 @dataclass
@@ -121,10 +126,19 @@ def normalize_frame(frame: Tensor, spec: NormalizationSpec = NormalizationSpec()
 # (u16 length + UTF-8), f_orig f64, r f64, then one serialized tensor.
 
 
+def is_label(value) -> bool:
+    """Whether value is a clip label: an int (numpy integers too, bools not)
+    equal to LABEL_REAL or LABEL_FAKE."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value in (LABEL_REAL, LABEL_FAKE))
+
+
 def clip_to_bytes(clip: FrameClip) -> bytes:
     sid = clip.source_id.encode("utf-8")
     if len(sid) > 0xFFFF:
         raise FormatError("source_id too long")
+    if clip.label is not None and not is_label(clip.label):
+        raise FormatError(f"clip label must be None, 0 or 1, got {clip.label!r}")
     label = -1 if clip.label is None else int(clip.label)
     head = CLIP_MAGIC + struct.pack("<Hb", CLIP_VERSION, label)
     head += struct.pack("<H", len(sid)) + sid
@@ -132,7 +146,10 @@ def clip_to_bytes(clip: FrameClip) -> bytes:
     return head + tensor_to_bytes(clip.frames)
 
 
-def clip_from_bytes(buf: bytes) -> FrameClip:
+def _clip_header(buf: bytes, size: int) -> tuple[dict, int]:
+    """Check the header of a size-byte clip stream that buf begins, the
+    frames' tensor header and the stream's length included; returns the
+    FrameClip fields other than frames, and the offset of the frames."""
     if len(buf) < 8 or buf[:8] != CLIP_MAGIC:
         raise FormatError("bad clip magic")
     off = 8
@@ -152,13 +169,20 @@ def clip_from_bytes(buf: bytes) -> FrameClip:
     off += sid_len
     f_orig, r = struct.unpack_from("<dd", buf, off)
     off += 16
-    frames, off = tensor_from_bytes(buf, off)
-    if off != len(buf):
-        raise FormatError(f"{len(buf) - off} trailing bytes after clip")
-    if frames.ndim != 4 or frames.shape[1] != 3:
-        raise FormatError(f"clip tensor must be (F,3,H,W), got {frames.shape}")
-    return FrameClip(frames=frames, label=None if label < 0 else label,
-                     source_id=source_id, f_orig=f_orig, r=r)
+    _, dims, _, end = tensor_header(buf, off, size)
+    if end != size:
+        raise FormatError(f"{size - end} trailing bytes after clip")
+    if len(dims) != 4 or dims[1] != 3:
+        raise FormatError(f"clip tensor must be (F,3,H,W), got {dims}")
+    fields = dict(label=None if label < 0 else label, source_id=source_id,
+                  f_orig=f_orig, r=r)
+    return fields, off
+
+
+def clip_from_bytes(buf: bytes) -> FrameClip:
+    fields, off = _clip_header(buf, len(buf))
+    frames, _ = tensor_from_bytes(buf, off)
+    return FrameClip(frames=frames, **fields)
 
 
 def write_clip(path, clip: FrameClip) -> None:
@@ -217,15 +241,26 @@ def read_manifest(path) -> list[ClipRecord]:
     return records
 
 
-def load_split(manifest_path, split: str) -> list[tuple[FrameClip, int]]:
-    """Load (clip, label) pairs for one split; falls back to all records
-    when the manifest has no rows for that split (pre-filtered manifests)."""
+def _check_clip(path) -> None:
+    """Check a clip file's header and length without reading its frames."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(min(size, CLIP_HEADER_MAX))
+    try:
+        _clip_header(head, size)
+    except FormatError as e:
+        raise FormatError(f"{path}: {e}") from None
+
+
+def load_split(manifest_path, split: str) -> list[tuple[str, int]]:
+    """(clip path, label) rows of one split, each clip's header and length
+    checked but no frames read; falls back to all records when the manifest
+    has no rows for that split (pre-filtered manifests)."""
     manifest_path = os.fspath(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
     records = read_manifest(manifest_path)
     chosen = [r for r in records if r.split == split] or records
-    out = []
-    for rec in chosen:
-        clip = read_clip(os.path.join(base, rec.path))
-        out.append((clip, rec.label))
-    return out
+    rows = [(os.path.join(base, r.path), r.label) for r in chosen]
+    for path, _ in rows:
+        _check_clip(path)
+    return rows

@@ -30,6 +30,8 @@ from .preprocess import (
     ClipRecord,
     FrameClip,
     LABEL_FAKE,
+    LABEL_REAL,
+    is_label,
     normalize_frame,
     write_clip,
     write_manifest,
@@ -248,6 +250,8 @@ def generate_clip(seed: int, label: int, spec: ArtifactSpec, frames: int = 16,
                   background_style: str = "smooth_gradient",
                   source_id: Optional[str] = None) -> FrameClip:
     """Deterministic clip for (seed, label, spec); label 1 plants the artifact."""
+    if not is_label(label):
+        raise ConfigError(f"label must be the int {LABEL_REAL} or {LABEL_FAKE}, got {label!r}")
     spec.validate()
     _check_shape(frames, h, w)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -262,7 +266,7 @@ def generate_clip(seed: int, label: int, spec: ArtifactSpec, frames: int = 16,
 
 def _split_labels(count: int, fake_fraction: float) -> list[int]:
     n_fake = int(np.floor(count * fake_fraction + 0.5))
-    return [LABEL_FAKE] * n_fake + [0] * (count - n_fake)
+    return [LABEL_FAKE] * n_fake + [LABEL_REAL] * (count - n_fake)
 
 
 def generate_dataset(cfg: SynthConfig, out_dir) -> DatasetManifest:

@@ -499,6 +499,8 @@ TENSOR_MAGIC = b"CASTTNSR"
 TENSOR_VERSION = 1
 _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+# the longest header: magic, version, dtype tag, rank and 255 dims
+TENSOR_HEADER_MAX = len(TENSOR_MAGIC) + 4 + 8 * 255
 
 
 def tensor_to_bytes(t: Tensor) -> bytes:
@@ -511,8 +513,13 @@ def tensor_to_bytes(t: Tensor) -> bytes:
     return head + dims + payload
 
 
-def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
-    """Parse one serialized tensor; returns (tensor, offset past it)."""
+def tensor_header(buf, offset: int = 0,
+                  size: Optional[int] = None) -> tuple[np.dtype, tuple[int, ...], int, int]:
+    """Parse and check the tensor header at offset; returns (little-endian
+    dtype, dims, payload start, payload end). size is the length of the
+    stream that buf begins (default len(buf)), so buf may be a prefix that
+    holds only the header: the payload is checked to fit in size bytes."""
+    size = len(buf) if size is None else size
     need = offset + len(TENSOR_MAGIC) + 4
     if len(buf) < need:
         raise FormatError("truncated tensor header")
@@ -538,10 +545,14 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
     for d in dims:  # Python ints: np.prod would wrap around at 2**64
         count *= d
     nbytes = count * dt.itemsize
-    if len(buf) - offset < nbytes:
+    if size - offset < nbytes:
         raise FormatError(f"truncated tensor payload: dims {dims} need {nbytes} bytes, "
-                          f"{len(buf) - offset} remain")
-    data = np.frombuffer(buf, dtype=dt, count=count, offset=offset).reshape(dims)
-    offset += nbytes
-    native = np.dtype(np.float32) if tag == 0 else np.dtype(np.float64)
-    return Tensor(data, dtype=native), offset
+                          f"{size - offset} remain")
+    return dt, dims, offset, offset + nbytes
+
+
+def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
+    """Parse one serialized tensor; returns (tensor, offset past it)."""
+    dt, dims, start, end = tensor_header(buf, offset)
+    data = np.frombuffer(buf, dtype=dt, count=(end - start) // dt.itemsize, offset=start)
+    return Tensor(data.reshape(dims), dtype=dt.newbyteorder("=")), end

@@ -13,7 +13,7 @@ from . import model as M
 from . import tensor as T
 from .errors import ConfigError, DivergenceError, ShapeMismatch
 from .metrics import roc_auc, score_clips
-from .preprocess import FrameClip, load_split
+from .preprocess import load_split, read_clip
 from .seeding import derive_seed
 from .tensor import GradientMap, Tensor
 
@@ -134,11 +134,11 @@ class TrainResult:
 
 
 def _validate_epoch(params: M.CastParams, cfg: M.CastConfig,
-                    val_set: list[tuple[FrameClip, int]],
+                    val_rows: list[tuple[str, int]],
                     batch_size: int) -> tuple[float, float]:
-    logits, scores = score_clips([clip for clip, _ in val_set], params, cfg,
-                                 cfg.eval_logit_mode, batch_size)
-    labels = [label for _, label in val_set]
+    clips = (read_clip(path) for path, _ in val_rows)
+    logits, scores = score_clips(clips, params, cfg, cfg.eval_logit_mode, batch_size)
+    labels = [label for _, label in val_rows]
     losses = [bce_with_logits(z, label) for z, label in zip(logits, labels)]
     if all(np.isfinite(s) for s in scores):
         _, auc = roc_auc(scores, labels)
@@ -160,12 +160,14 @@ def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
     """Train with seeded shuffling, save the checkpoint whenever validation
     loss strictly improves, and write a per-epoch history file; raise
     DivergenceError after it if no epoch saved a checkpoint. A best.ckpt
-    already in out_dir is removed before the first epoch."""
+    already in out_dir is removed before the first epoch, after every clip
+    header has been checked. Clips are read as the shuffled order draws
+    them, so training and validation hold one batch of clips at a time."""
     cfg.validate()
     model_cfg.validate()
-    train_set = load_split(train_manifest, "train")
-    val_set = load_split(val_manifest, "val")
-    if not train_set or not val_set:
+    train_rows = load_split(train_manifest, "train")
+    val_rows = load_split(val_manifest, "val")
+    if not train_rows or not val_rows:
         raise ConfigError("train and val manifests must be non-empty")
 
     os.makedirs(out_dir, exist_ok=True)
@@ -185,14 +187,15 @@ def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
 
     for epoch in range(1, cfg.max_epochs + 1):
         rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "shuffle", epoch)))
-        order = rng.permutation(len(train_set))
+        order = rng.permutation(len(train_rows))
         batch_losses = []
         applied = 0
         for step in range(0, len(order), cfg.batch_size):
-            batch = [train_set[i] for i in order[step:step + cfg.batch_size]]
-            T.reset_graph()
+            batch = [train_rows[i] for i in order[step:step + cfg.batch_size]]
+            T.reset_graph()  # the last step's tape holds its clips' frames
             seeds = [derive_seed(cfg.seed, "drop", epoch, step, j) for j in range(len(batch))]
-            out = M.forward([clip for clip, _ in batch], params, model_cfg,
+            # no name keeps the clips, so they are freed before the next batch is read
+            out = M.forward([read_clip(path) for path, _ in batch], params, model_cfg,
                             mode="train", seed=seeds)
             losses = bce_with_logits(out.clip_logit, [label for _, label in batch])
             batch_loss = T.scale(T.sum_all(losses), 1.0 / len(batch))
@@ -209,7 +212,7 @@ def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
             raise DivergenceError(f"epoch {epoch}: every gradient was non-finite, "
                                   f"no Adam step was applied")
         train_loss = float(np.mean(batch_losses))
-        val_loss, val_auc = _validate_epoch(params, model_cfg, val_set, cfg.batch_size)
+        val_loss, val_auc = _validate_epoch(params, model_cfg, val_rows, cfg.batch_size)
         history.append(EpochRecord(epoch=epoch, train_loss=train_loss,
                                    val_loss=val_loss, val_auc=val_auc))
         if val_loss < best_val:

@@ -228,6 +228,28 @@ class TestCmdTrain:
             assert cli.main(["train", "--config", str(diverging)]) == 3
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("split", ["train", "val"])
+    @pytest.mark.parametrize("damage", ["bad_magic", "truncated"])
+    def test_bad_clip_exits_two_before_any_step(self, tmp_path, monkeypatch, capsys,
+                                                split, damage):
+        cfg_path = write_config(tmp_path)
+        assert cli.main(["gen", "--config", str(cfg_path)]) == 0
+        clip = tmp_path / "out" / "data" / split / "clip_00001.castclip"
+        buf = clip.read_bytes()
+        clip.write_bytes(b"Z" + buf[1:] if damage == "bad_magic" else buf[:-10])
+        ckpt = tmp_path / "out" / "train" / "best.ckpt"
+        ckpt.parent.mkdir()
+        ckpt.write_bytes(b"an earlier run's checkpoint")
+        forwards = []
+        real_forward = M.forward
+        monkeypatch.setattr(M, "forward",
+                            lambda *a, **kw: forwards.append(a) or real_forward(*a, **kw))
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        assert forwards == []
+        assert ckpt.read_bytes() == b"an earlier run's checkpoint"
+        assert f"{split}/clip_00001.castclip" in capsys.readouterr().err
+
     def test_non_finite_gradients_exit_three(self, tmp_path, capsys, nan_gradients):
         cfg_path = write_config(tmp_path)
         assert cli.main(["gen", "--config", str(cfg_path)]) == 0

@@ -109,6 +109,30 @@ def test_only_cast_errors_escape(tmp_path, parser, count):
     assert not escaped, f"{len(escaped)} of {count} escaped, first: {escaped[:3]}"
 
 
+def test_header_check_agrees_with_clip_parser(tmp_path):
+    """load_split, which reads no frames, rejects exactly the mutated clips
+    that read_clip rejects."""
+    seed_input = _clip_bytes()
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("c.castclip\t1\ttrain\n")
+    path = tmp_path / "c.castclip"
+
+    def accepts(parse):
+        try:
+            parse()
+        except CastError:
+            return False
+        return True
+    rng = np.random.default_rng(7)
+    disagree = []
+    for i in range(400):
+        buf = mutate(seed_input, rng)
+        path.write_bytes(buf)
+        if accepts(lambda: pp.read_clip(path)) != accepts(lambda: pp.load_split(manifest, "train")):
+            disagree.append((i, buf))
+    assert not disagree, f"{len(disagree)} of 400 disagree, first: {disagree[:3]}"
+
+
 # no [output] section: runs go to the relative default dir, so no mutation
 # can send them outside the test's working directory
 CLI_CONFIG = b"""[synth]

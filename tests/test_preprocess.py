@@ -1,5 +1,7 @@
 """Frame sampling arithmetic, normalization, resizing, clip file format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,74 @@ class TestClipFiles:
         path = tmp_path / "clip.castclip"
         pp.write_clip(path, clip)
         assert pp.read_clip(path).label is None
+
+    @pytest.mark.parametrize("label", [300, -1, 2, 1.5, True])
+    def test_label_outside_none_zero_one_is_format_error(self, label):
+        # 300 raised a bare struct.error
+        with pytest.raises(FormatError, match="label must be None, 0 or 1"):
+            pp.clip_to_bytes(self._clip(label=label))
+
+    def test_numpy_integer_label_writes_like_int(self):
+        assert pp.clip_to_bytes(self._clip(label=np.int64(1))) == pp.clip_to_bytes(self._clip())
+
+
+class TestLoadSplit:
+    def _dataset(self, tmp_path, source_id="vid"):
+        frames = T.uniform((2, 3, 4, 4), -1, 1, seed=5)
+        records = []
+        for i, split in enumerate(["train", "val", "train"]):
+            rel = f"c{i}.castclip"
+            pp.write_clip(tmp_path / rel, pp.FrameClip(frames=frames, label=i % 2,
+                                                       source_id=source_id))
+            records.append(pp.ClipRecord(rel, i % 2, split))
+        pp.write_manifest(tmp_path / "manifest.tsv", records)
+        return tmp_path / "manifest.tsv"
+
+    def test_rows_are_paths_and_labels_and_no_frames_are_read(self, tmp_path, monkeypatch):
+        manifest = self._dataset(tmp_path)
+
+        def no_frames(*args):
+            raise AssertionError("load_split read frames")
+        monkeypatch.setattr(pp, "tensor_from_bytes", no_frames)
+        rows = pp.load_split(manifest, "train")
+        assert rows == [(str(tmp_path / "c0.castclip"), 0), (str(tmp_path / "c2.castclip"), 0)]
+
+    def test_split_without_rows_falls_back_to_all(self, tmp_path):
+        manifest = self._dataset(tmp_path)
+        assert [label for _, label in pp.load_split(manifest, "test")] == [0, 1, 0]
+
+    @pytest.mark.parametrize("damage", ["bad_magic", "truncated", "trailing", "version",
+                                        "tensor_magic", "channels"])
+    def test_structural_damage_names_the_clip(self, tmp_path, damage):
+        manifest = self._dataset(tmp_path)
+        path = tmp_path / "c2.castclip"
+        buf = bytearray(path.read_bytes())
+        tensor_at = buf.index(T.TENSOR_MAGIC)
+        if damage == "bad_magic":
+            buf[0] = ord("Z")
+        elif damage == "truncated":
+            del buf[-1]
+        elif damage == "trailing":
+            buf += b"\0"
+        elif damage == "version":
+            buf[8] = 9
+        elif damage == "tensor_magic":
+            buf[tensor_at] = ord("Z")
+        else:  # dims (2,3,4,4) -> (2,4,3,4): the same payload size, 4 channels
+            struct.pack_into("<4Q", buf, tensor_at + 12, 2, 4, 3, 4)
+        path.write_bytes(bytes(buf))
+        with pytest.raises(FormatError):
+            pp.read_clip(path)
+        with pytest.raises(FormatError, match="c2.castclip: "):
+            pp.load_split(manifest, "train")
+
+    def test_longest_source_id_passes(self, tmp_path):
+        manifest = self._dataset(tmp_path, source_id="x" * 0xFFFF)
+        assert len(pp.load_split(manifest, "train")) == 2
+        path = tmp_path / "c0.castclip"
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(FormatError, match="truncated tensor payload"):
+            pp.load_split(manifest, "train")
 
 
 class TestManifest:

@@ -72,6 +72,19 @@ class TestGenerateClip:
         with pytest.raises(ConfigError, match="h >= 2 and w >= 2"):
             small_cfg(h=h, w=w).validate()
 
+    @pytest.mark.parametrize("label", [1.7, 1.0, -1, 2, 300, True, False, "1", None])
+    def test_label_must_be_int_zero_or_one(self, label):
+        # 1.7 gave a clip labelled 1 with no artifact, -1 an unlabelled clip
+        with pytest.raises(ConfigError, match="label must be"):
+            synth.generate_clip(1, label, synth.ArtifactSpec(), 4, 8, 8)
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_numpy_integer_labels_accepted(self, label):
+        spec = synth.ArtifactSpec()
+        want = clip_to_bytes(synth.generate_clip(5, label, spec, 4, 8, 8))
+        for np_label in (np.int64(label), np.uint8(label)):
+            assert clip_to_bytes(synth.generate_clip(5, np_label, spec, 4, 8, 8)) == want
+
     def test_region_must_fit_frame(self):
         spec = synth.ArtifactSpec(region=(0.49, 0.49, 0.51, 0.51))
         with pytest.raises(InvalidRegion):

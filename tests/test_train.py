@@ -1,6 +1,7 @@
 """Loss contract, Adam semantics (including loss scaling), the training
 loop, and the metric computations."""
 
+import importlib
 import weakref
 from dataclasses import replace
 
@@ -371,6 +372,23 @@ class TestTrainLoop:
                                 model_cfg).clip_logit.item() for r in val]
         expected = np.mean([bce_with_logits(z, r.label) for z, r in zip(logits, val)])
         assert res.history[0].val_loss == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_holds_at_most_batch_size_clips(self, tiny_dataset, tmp_path, monkeypatch):
+        refs, live = [], []
+
+        def counting_read(path):
+            clip = pp.read_clip(path)
+            refs.append(weakref.ref(clip))
+            live.append(sum(r() is not None for r in refs))
+            return clip
+        # the package's `train` attribute is the function, not the module
+        monkeypatch.setattr(importlib.import_module("castnet.train"), "read_clip",
+                            counting_read)
+        cfg = TrainConfig(max_epochs=2, batch_size=4, seed=0)
+        train(tiny_dataset["model_cfg"], tiny_dataset["manifest"],
+              tiny_dataset["manifest"], cfg, tmp_path / "run")
+        # each epoch reads the 12 train clips in steps of 4, then the 6 val clips
+        assert len(live) == 2 * (12 + 6) and max(live) == 4
 
     def test_loss_scale_invariance(self, tiny_dataset, tmp_path):
         results = []
