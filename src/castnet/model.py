@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -101,19 +101,24 @@ class CastConfig:
 
 
 @dataclass
+class FfnParams:
+    w1: Tensor  # (ffn_dim, d)
+    b1: Tensor
+    w2: Tensor  # (d, ffn_dim)
+    b2: Tensor
+
+
+@dataclass
 class EncoderLayerParams:
     ln1: LayerNormParams
     mhsa: MhsaParams
     ln2: LayerNormParams
-    ffn_w1: Tensor  # (ffn_dim, d)
-    ffn_b1: Tensor
-    ffn_w2: Tensor  # (d, ffn_dim)
-    ffn_b2: Tensor
+    ffn: FfnParams
 
 
 @dataclass
 class FusionParams:
-    heads: list[AttnHead]
+    heads: list[AttnHead] = field(metadata={"inline": True})
     out_proj: Tensor  # (d, d)
     out_bias: Tensor  # (d,)
     ln: LayerNormParams
@@ -127,71 +132,39 @@ class DecoupledParams:
     mix_b: Tensor  # (d,)
 
 
-@dataclass
+def _named_tensors(node, path: tuple[str, ...]):
+    """(dotted name, tensor) for every tensor under node, in field order."""
+    if isinstance(node, Tensor):
+        yield ".".join(path), node
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _named_tensors(item, path + (str(i),))
+    elif is_dataclass(node):
+        for f in fields(node):
+            sub = path if f.metadata.get("inline") else path + (f.name,)
+            yield from _named_tensors(getattr(node, f.name), sub)
+
+
+@dataclass(kw_only=True)
 class CastParams:
+    """Every weight of a model. The field order is the checkpoint's entry
+    order; a stage a variant lacks is None."""
     backbone: list[Conv2dParams]
-    pos_embed: Tensor
-    encoder: list[EncoderLayerParams]
-    classifier_w: Tensor  # (1, d)
-    classifier_b: Tensor  # (1,)
     spatial_proj: Optional[PointwiseProj] = None
     temporal_proj: Optional[PointwiseProj] = None
+    pos_embed: Tensor
+    encoder: list[EncoderLayerParams]
     fusion: Optional[FusionParams] = None
     decoupled: Optional[DecoupledParams] = None
     multi_scale_proj: Optional[PointwiseProj] = None
+    classifier: PointwiseProj  # weight (1, d), bias (1,)
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, conv in enumerate(self.backbone):
-            out[f"backbone.{i}.kernel"] = conv.kernel
-            out[f"backbone.{i}.bias"] = conv.bias
-        if self.spatial_proj is not None:
-            out["spatial_proj.weight"] = self.spatial_proj.weight
-            out["spatial_proj.bias"] = self.spatial_proj.bias
-        if self.temporal_proj is not None:
-            out["temporal_proj.weight"] = self.temporal_proj.weight
-            out["temporal_proj.bias"] = self.temporal_proj.bias
-        out["pos_embed"] = self.pos_embed
-        for i, layer in enumerate(self.encoder):
-            pre = f"encoder.{i}"
-            out[f"{pre}.ln1.gamma"] = layer.ln1.gamma
-            out[f"{pre}.ln1.beta"] = layer.ln1.beta
-            for h, head in enumerate(layer.mhsa.heads):
-                out[f"{pre}.mhsa.{h}.wq"] = head.wq
-                out[f"{pre}.mhsa.{h}.wk"] = head.wk
-                out[f"{pre}.mhsa.{h}.wv"] = head.wv
-            out[f"{pre}.mhsa.out_proj"] = layer.mhsa.out_proj
-            out[f"{pre}.ln2.gamma"] = layer.ln2.gamma
-            out[f"{pre}.ln2.beta"] = layer.ln2.beta
-            out[f"{pre}.ffn.w1"] = layer.ffn_w1
-            out[f"{pre}.ffn.b1"] = layer.ffn_b1
-            out[f"{pre}.ffn.w2"] = layer.ffn_w2
-            out[f"{pre}.ffn.b2"] = layer.ffn_b2
-        if self.fusion is not None:
-            for h, head in enumerate(self.fusion.heads):
-                out[f"fusion.{h}.wq"] = head.wq
-                out[f"fusion.{h}.wk"] = head.wk
-                out[f"fusion.{h}.wv"] = head.wv
-            out["fusion.out_proj"] = self.fusion.out_proj
-            out["fusion.out_bias"] = self.fusion.out_bias
-            out["fusion.ln.gamma"] = self.fusion.ln.gamma
-            out["fusion.ln.beta"] = self.fusion.ln.beta
-        if self.decoupled is not None:
-            for name, attn in (("temporal", self.decoupled.temporal),
-                               ("spatial", self.decoupled.spatial)):
-                for h, head in enumerate(attn.heads):
-                    out[f"decoupled.{name}.{h}.wq"] = head.wq
-                    out[f"decoupled.{name}.{h}.wk"] = head.wk
-                    out[f"decoupled.{name}.{h}.wv"] = head.wv
-                out[f"decoupled.{name}.out_proj"] = attn.out_proj
-            out["decoupled.mix_w"] = self.decoupled.mix_w
-            out["decoupled.mix_b"] = self.decoupled.mix_b
-        if self.multi_scale_proj is not None:
-            out["multi_scale_proj.weight"] = self.multi_scale_proj.weight
-            out["multi_scale_proj.bias"] = self.multi_scale_proj.bias
-        out["classifier.weight"] = self.classifier_w
-        out["classifier.bias"] = self.classifier_b
-        return out
+        """Every tensor field under its checkpoint entry name: the dotted
+        path of field names, list items by index, and the heads of an
+        attention block by index alone (fields marked inline). Values that
+        are not tensors (absent stages, strides, eps, dropout) are skipped."""
+        return dict(_named_tensors(self, ()))
 
     def all_tensors(self) -> list[Tensor]:
         return list(self.named_parameters().values())
@@ -203,8 +176,6 @@ class ModelOutput:
     except that clip_logit is then (B,)."""
     clip_logit: Tensor         # (1,)
     frame_logits: Tensor       # (clip_len,)
-    fused_tokens: Tensor       # (clip_len, d)
-    pooled: Tensor             # (d,)
     attention: Optional[Tensor]  # (clip_len, H'*W'), head-averaged; None if undefined
 
 
@@ -230,13 +201,13 @@ def init_cast_params(cfg: CastConfig, seed: int) -> CastParams:
 
     encoder = []
     for i in range(cfg.encoder_layers):
-        w1, b1 = nn.init_linear(d, cfg.ffn_dim, derive_seed(seed, "ffn1", i))
-        w2, b2 = nn.init_linear(cfg.ffn_dim, d, derive_seed(seed, "ffn2", i))
+        ffn = FfnParams(*nn.init_linear(d, cfg.ffn_dim, derive_seed(seed, "ffn1", i)),
+                        *nn.init_linear(cfg.ffn_dim, d, derive_seed(seed, "ffn2", i)))
         encoder.append(EncoderLayerParams(
             ln1=nn.init_layer_norm(d),
             mhsa=nn.init_mhsa(d, cfg.heads, cfg.dropout, derive_seed(seed, "mhsa", i)),
             ln2=nn.init_layer_norm(d),
-            ffn_w1=w1, ffn_b1=b1, ffn_w2=w2, ffn_b2=b2))
+            ffn=ffn))
 
     fusion = decoupled = multi_scale_proj = None
     if cfg.variant in _CROSS_ATTN_VARIANTS:
@@ -256,9 +227,9 @@ def init_cast_params(cfg: CastConfig, seed: int) -> CastParams:
         total_c = sum(cfg.backbone_channels)
         multi_scale_proj = nn.init_pointwise(d, total_c, derive_seed(seed, "ms_proj"))
 
-    cls_w, cls_b = nn.init_linear(d, 1, derive_seed(seed, "classifier"))
+    classifier = PointwiseProj(*nn.init_linear(d, 1, derive_seed(seed, "classifier")))
     return CastParams(backbone=backbone, pos_embed=pos_embed, encoder=encoder,
-                      classifier_w=cls_w, classifier_b=cls_b,
+                      classifier=classifier,
                       spatial_proj=spatial_proj, temporal_proj=temporal_proj,
                       fusion=fusion, decoupled=decoupled,
                       multi_scale_proj=multi_scale_proj)
@@ -327,9 +298,9 @@ def encode_temporal(t_seq: Tensor, pos_embed: Tensor,
                        derive_seed(seed, "enc_attn", i))
         x = T.add(x, attn)
         h = nn.layer_norm(x, layer.ln2)
-        h = T.relu(nn.linear(h, layer.ffn_w1, layer.ffn_b1))
+        h = T.relu(nn.linear(h, layer.ffn.w1, layer.ffn.b1))
         h = nn.dropout(h, drop_rate, mode, derive_seed(seed, "enc_ffn", i))
-        h = nn.linear(h, layer.ffn_w2, layer.ffn_b2)
+        h = nn.linear(h, layer.ffn.w2, layer.ffn.b2)
         x = T.add(x, h)
     return x
 
@@ -387,17 +358,17 @@ def multi_scale_tokens(stages: list[Tensor], proj: PointwiseProj) -> Tensor:
     return spatial_tokens(T.concat(pooled, axis=-3), proj)
 
 
-def classify(fused: Tensor, weight: Tensor, bias: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-    """Fused (B, n, d) -> clip logits (B,), frame logits (B, n) and, off the
-    tape, the mean-pooled tokens (B, d). The clip logit is the mean frame
-    logit: equal to the logit of the mean token, as the classifier is affine,
-    and independent of the other clips in the batch."""
+def classify(fused: Tensor, weight: Tensor, bias: Tensor) -> tuple[Tensor, Tensor]:
+    """Fused (B, n, d) -> clip logits (B,) and frame logits (B, n). The clip
+    logit is the mean frame logit: equal to the logit of the mean token, as
+    the classifier is affine, and independent of the other clips in the
+    batch."""
     if fused.ndim != 3:
         raise ShapeMismatch(f"classify expects (B, n, d), got {fused.shape}")
     b, n, _ = fused.shape
     frame_logits = T.reshape(nn.linear(fused, weight, bias), (b, n))
     clip_logit = T.mean_axis0(frame_logits, axis=-1)
-    return clip_logit, frame_logits, Tensor(fused.data.mean(axis=-2))
+    return clip_logit, frame_logits
 
 
 def forward(clips, params: CastParams, cfg: CastConfig,
@@ -464,15 +435,14 @@ def forward(clips, params: CastParams, cfg: CastConfig,
                                                 cfg.variant, cfg.dropout, mode,
                                                 derive_seed(seeds, "fusion"))
 
-    clip_logit, frame_logits, pooled = classify(fused, params.classifier_w,
-                                                params.classifier_b)
+    clip_logit, frame_logits = classify(fused, params.classifier.weight,
+                                        params.classifier.bias)
     if single:  # drop the batch axis; clip_logit keeps its shape (1,)
-        frame_logits, fused, pooled = (T.reshape(t, t.shape[1:])
-                                       for t in (frame_logits, fused, pooled))
+        frame_logits = T.reshape(frame_logits, frame_logits.shape[1:])
         if attention is not None:
             attention = Tensor(attention.data[0])
     return ModelOutput(clip_logit=clip_logit, frame_logits=frame_logits,
-                       fused_tokens=fused, pooled=pooled, attention=attention)
+                       attention=attention)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ class AttnHead:
 
 @dataclass
 class MhsaParams:
-    heads: list[AttnHead] = field(default_factory=list)
+    heads: list[AttnHead] = field(default_factory=list, metadata={"inline": True})
     out_proj: Tensor = None  # (d, d)
     dropout: float = 0.0
 

@@ -159,6 +159,8 @@ def _clip_header(buf: bytes, size: int) -> tuple[dict, int]:
     off += 3
     if version != CLIP_VERSION:
         raise FormatError(f"unsupported clip version {version}")
+    if label != -1 and not is_label(label):
+        raise FormatError(f"clip label must be -1 (absent), 0 or 1, got {label}")
     if len(buf) < off + 2:
         raise FormatError("truncated clip header")
     (sid_len,) = struct.unpack_from("<H", buf, off)

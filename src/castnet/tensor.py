@@ -261,60 +261,39 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return apply_op("matmul", out, (a, b), bwd)
 
 
-def _binary_plan(a: Tensor, b: Tensor):
-    """Classify a binary op: 'same' shapes, or trailing broadcast.
-
-    Broadcasting is deliberately restricted: a lower-rank operand may
-    broadcast over the leading axes of the other when its shape equals the
-    other's trailing shape, nothing else. Returns (mode, side) where side
-    is 0/1 for the broadcast operand.
-    """
-    if a.shape == b.shape:
-        return "same", None
-    if b.ndim < a.ndim and a.shape[a.ndim - b.ndim:] == b.shape:
-        return "broadcast", 1
-    if a.ndim < b.ndim and b.shape[b.ndim - a.ndim:] == a.shape:
-        return "broadcast", 0
-    raise ShapeMismatch(f"incompatible shapes for elementwise op: {a.shape} vs {b.shape}")
+def _check_broadcast(a: Tensor, b: Tensor) -> None:
+    """Broadcasting is deliberately restricted: the operands have one shape,
+    or the lower-rank one equals the other's trailing shape and broadcasts
+    over its leading axes."""
+    n = min(a.ndim, b.ndim)
+    if a.shape[a.ndim - n:] != b.shape[b.ndim - n:]:
+        raise ShapeMismatch(f"incompatible shapes for elementwise op: {a.shape} vs {b.shape}")
 
 
-def _reduce_to(g: np.ndarray, ndim: int) -> np.ndarray:
+def _sum_to(g: np.ndarray, ndim: int) -> np.ndarray:
     """Sum g over its leading axes down to its trailing ndim axes."""
-    return g.sum(axis=tuple(range(g.ndim - ndim)))
+    return g if g.ndim == ndim else g.sum(axis=tuple(range(g.ndim - ndim)))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    mode, side = _binary_plan(a, b)
-    if mode == "same":
-        bwd = lambda g: (g, g)
-    elif side == 1:
-        bwd = lambda g: (g, _reduce_to(g, b.ndim))
-    else:
-        bwd = lambda g: (_reduce_to(g, a.ndim), g)
-    return apply_op("add", a.data + b.data, (a, b), bwd)
+    _check_broadcast(a, b)
+    na, nb = a.ndim, b.ndim
+    return apply_op("add", a.data + b.data, (a, b),
+                    lambda g: (_sum_to(g, na), _sum_to(g, nb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    mode, side = _binary_plan(a, b)
-    if mode == "same":
-        bwd = lambda g: (g, -g)
-    elif side == 1:
-        bwd = lambda g: (g, -_reduce_to(g, b.ndim))
-    else:
-        bwd = lambda g: (_reduce_to(g, a.ndim), -g)
-    return apply_op("sub", a.data - b.data, (a, b), bwd)
+    _check_broadcast(a, b)
+    na, nb = a.ndim, b.ndim
+    return apply_op("sub", a.data - b.data, (a, b),
+                    lambda g: (_sum_to(g, na), -_sum_to(g, nb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    mode, side = _binary_plan(a, b)
+    _check_broadcast(a, b)
     ad, bd = a.data, b.data
-    if mode == "same":
-        bwd = lambda g: (g * bd, g * ad)
-    elif side == 1:
-        bwd = lambda g: (g * bd, _reduce_to(g * ad, b.ndim))
-    else:
-        bwd = lambda g: (_reduce_to(g * bd, a.ndim), g * ad)
-    return apply_op("mul", ad * bd, (a, b), bwd)
+    return apply_op("mul", ad * bd, (a, b),
+                    lambda g: (_sum_to(g * bd, ad.ndim), _sum_to(g * ad, bd.ndim)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:

@@ -261,8 +261,8 @@ class TestCmdTrain:
 def zero_classifier_ckpt(tmp_path):
     cfg = tiny_model_cfg()
     params = M.init_cast_params(cfg, seed=2)
-    params.classifier_w.data[:] = 0.0
-    params.classifier_b.data[:] = 0.0
+    params.classifier.weight.data[:] = 0.0
+    params.classifier.bias.data[:] = 0.0
     path = tmp_path / "zero.ckpt"
     M.save_checkpoint(path, cfg, params)
     return path
@@ -377,7 +377,7 @@ class TestCmdEval:
     def test_non_finite_weight_exits_four(self, tiny_dataset, tmp_path, capsys):
         cfg = tiny_model_cfg()
         params = M.init_cast_params(cfg, seed=5)
-        params.classifier_b.data[:] = np.nan
+        params.classifier.bias.data[:] = np.nan
         path = tmp_path / "nan.ckpt"
         M.save_checkpoint(path, cfg, params)
         code = cli.main(["eval", "--checkpoint", str(path),
@@ -415,6 +415,21 @@ class TestCmdEval:
                          "--manifest", str(manifest), "--out", str(tmp_path / "rep")])
         assert code == 2
         assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("byte", [5, 0x80, 0xF9])
+    def test_bad_clip_label_byte_exits_two(self, tiny_dataset, zero_classifier_ckpt,
+                                           tmp_path, capsys, byte):
+        rel = "test/clip_00000.castclip"
+        buf = bytearray((tiny_dataset["dir"] / rel).read_bytes())
+        (tmp_path / "test").mkdir()
+        buf[10] = byte  # the label i8 follows magic (8) and version u16
+        (tmp_path / rel).write_bytes(bytes(buf))
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(f"{rel}\t1\ttest\n")
+        code = cli.main(["eval", "--checkpoint", str(zero_classifier_ckpt),
+                         "--manifest", str(manifest), "--out", str(tmp_path / "rep")])
+        assert code == 2
+        assert "clip_00000.castclip: clip label" in capsys.readouterr().err
 
 
 class TestCmdAblate:

@@ -1,6 +1,7 @@
 """Architecture-level contracts: token computation, encoding, fusion,
 variants, classification linearity, and checkpoint round trips."""
 
+import hashlib
 import struct
 from dataclasses import replace
 
@@ -265,8 +266,8 @@ class TestCrossAttention:
                                              0.0, "eval", 0)
         np.testing.assert_allclose(attn.data, 0.25, atol=1e-12)
         np.testing.assert_allclose(fused.data[0] - fused.data[0], 0.0)
-        rows = M.classify(T.reshape(fused, (1, 2, 8)), params.classifier_w,
-                          params.classifier_b)[1].data
+        rows = M.classify(T.reshape(fused, (1, 2, 8)), params.classifier.weight,
+                          params.classifier.bias)[1].data
         assert np.all(np.isfinite(rows))
 
     def test_zero_value_path_residual_degeneracy(self):
@@ -307,7 +308,7 @@ class TestClassify:
     def test_zero_weight_gives_bias(self):
         fused = T.uniform((1, 4, 8), -1, 1, seed=32)
         w, b = T.zeros((1, 8)), T.Tensor([0.37])
-        clip_logit, frame_logits, _ = M.classify(fused, w, b)
+        clip_logit, frame_logits = M.classify(fused, w, b)
         assert clip_logit.item() == 0.37
         np.testing.assert_array_equal(frame_logits.data, np.full((1, 4), 0.37))
 
@@ -316,7 +317,7 @@ class TestClassify:
         fused = T.Tensor(np.repeat(tok.data, 3, axis=0)[None])
         w = T.uniform((1, 8), -1, 1, seed=34)
         b = T.Tensor([0.1])
-        clip_logit, frame_logits, _ = M.classify(fused, w, b)
+        clip_logit, frame_logits = M.classify(fused, w, b)
         expected = float((w.data @ tok.data[0])[0] + 0.1)
         np.testing.assert_allclose(frame_logits.data, expected, atol=1e-12)
         np.testing.assert_allclose(clip_logit.item(), expected, atol=1e-12)
@@ -325,7 +326,7 @@ class TestClassify:
         fused = T.uniform((1, 16, 8), -3, 3, seed=35)
         w = T.uniform((1, 8), -1, 1, seed=36)
         b = T.Tensor([-0.2])
-        clip_logit, frame_logits, _ = M.classify(fused, w, b)
+        clip_logit, frame_logits = M.classify(fused, w, b)
         assert abs(frame_logits.data.mean() - clip_logit.item()) < 1e-10
 
 
@@ -338,8 +339,6 @@ class TestForward:
         out = M.forward(clip, params, cfg, mode="train", seed=7)
         assert out.clip_logit.size == 1
         assert out.frame_logits.shape == (cfg.clip_len,)
-        assert out.fused_tokens.shape == (cfg.clip_len, cfg.d)
-        assert out.pooled.shape == (cfg.d,)
         if variant in ("no_cross_attention", "decoupled_self_attention"):
             assert out.attention is None
         else:
@@ -362,7 +361,7 @@ class TestForward:
             a = M.forward(clip, params, cfg, mode="eval")
             b = M.forward(clip, params, cfg, mode="eval")
         assert np.array_equal(a.clip_logit.data, b.clip_logit.data)
-        assert np.array_equal(a.fused_tokens.data, b.fused_tokens.data)
+        assert np.array_equal(a.frame_logits.data, b.frame_logits.data)
 
     def test_train_mode_dropout_depends_on_seed(self):
         cfg = tiny_cfg()
@@ -394,8 +393,8 @@ class TestForward:
         with T.no_grad():
             out = M.forward(clip, params, cfg)
             out_p = M.forward(clip_p, params, cfg)
-        np.testing.assert_allclose(out_p.fused_tokens.data,
-                                   out.fused_tokens.data[perm], atol=1e-9)
+        np.testing.assert_allclose(out_p.frame_logits.data,
+                                   out.frame_logits.data[perm], atol=1e-9)
         np.testing.assert_allclose(out_p.clip_logit.item(), out.clip_logit.item(),
                                    atol=1e-10)
 
@@ -467,8 +466,6 @@ class TestBatchedForward:
         batch, singles, bg, sg = self._run(cfg, params, clips, mode, seeds)
         assert batch.clip_logit.shape == (3,)
         assert batch.frame_logits.shape == (3, cfg.clip_len)
-        assert batch.fused_tokens.shape == (3, cfg.clip_len, cfg.d)
-        assert batch.pooled.shape == (3, cfg.d)
         for i, one in enumerate(singles):
             np.testing.assert_allclose(batch.clip_logit.data[i], one.clip_logit.data[0],
                                        rtol=0, atol=1e-12)
@@ -612,7 +609,7 @@ class TestCheckpoint:
     def test_non_finite_weight_is_checkpoint_error(self, tmp_path, bad):
         cfg = tiny_cfg()
         params = M.init_cast_params(cfg, seed=71)
-        params.classifier_b.data[:] = bad
+        params.classifier.bias.data[:] = bad
         path = tmp_path / "model.ckpt"
         M.save_checkpoint(path, cfg, params)
         with pytest.raises(CheckpointError, match="classifier.bias"):
@@ -640,7 +637,7 @@ class TestCheckpoint:
         clip = make_clip(cfg, seed=62)
         out = M.forward(clip, params2, cfg, mode="train", seed=1)
         grads = T.backward(bce_with_logits(out.clip_logit, 0))
-        assert np.all(np.isfinite(grads.of(params2.classifier_w).data))
+        assert np.all(np.isfinite(grads.of(params2.classifier.weight).data))
 
     def test_config_param_mismatch_rejected(self, tmp_path):
         cfg8 = tiny_cfg()
@@ -719,3 +716,54 @@ class TestCheckpoint:
         M.save_checkpoint(path, cfg_full, params_nca)
         with pytest.raises(CheckpointError):
             M.load_checkpoint(path)
+
+
+# the parameter layout of every variant at tiny_cfg: named_parameters() keys
+# in order, and the SHA-256 of the checkpoint saved from seed 90; entry names
+# are checkpoint format, so a change here breaks every saved checkpoint
+_STEM = "backbone.0.kernel backbone.0.bias backbone.1.kernel backbone.1.bias"
+_PROJ = "spatial_proj.weight spatial_proj.bias temporal_proj.weight temporal_proj.bias"
+_ENCODER = ("pos_embed encoder.0.ln1.gamma encoder.0.ln1.beta "
+            "encoder.0.mhsa.0.wq encoder.0.mhsa.0.wk encoder.0.mhsa.0.wv "
+            "encoder.0.mhsa.1.wq encoder.0.mhsa.1.wk encoder.0.mhsa.1.wv "
+            "encoder.0.mhsa.out_proj encoder.0.ln2.gamma encoder.0.ln2.beta "
+            "encoder.0.ffn.w1 encoder.0.ffn.b1 encoder.0.ffn.w2 encoder.0.ffn.b2")
+_FUSION = ("fusion.0.wq fusion.0.wk fusion.0.wv fusion.1.wq fusion.1.wk fusion.1.wv "
+           "fusion.out_proj fusion.out_bias fusion.ln.gamma fusion.ln.beta")
+_DECOUPLED = ("decoupled.temporal.0.wq decoupled.temporal.0.wk decoupled.temporal.0.wv "
+              "decoupled.temporal.1.wq decoupled.temporal.1.wk decoupled.temporal.1.wv "
+              "decoupled.temporal.out_proj "
+              "decoupled.spatial.0.wq decoupled.spatial.0.wk decoupled.spatial.0.wv "
+              "decoupled.spatial.1.wq decoupled.spatial.1.wk decoupled.spatial.1.wv "
+              "decoupled.spatial.out_proj decoupled.mix_w decoupled.mix_b")
+_CLASSIFIER = "classifier.weight classifier.bias"
+PARAM_LAYOUTS = {
+    "full": ((_STEM, _PROJ, _ENCODER, _FUSION, _CLASSIFIER),
+             "fb1dfa0d1e710736e6dc47cbab83f99a881f323d9f104441b8430001f0a261b5"),
+    "no_cross_attention": ((_STEM, _PROJ, _ENCODER, _CLASSIFIER),
+                           "2141776e153b6e6b9a37f994964b00864a6bbf8b39a0c61159a1c4a85f2650b3"),
+    "decoupled_self_attention": (
+        (_STEM, _PROJ, _ENCODER, _DECOUPLED, _CLASSIFIER),
+        "dfe82f0e0165579fccd1fc86fdd3bbdb5e61db31bec24f456f907cb900fe9a17"),
+    "reversed_qkv": ((_STEM, _PROJ, _ENCODER, _FUSION, _CLASSIFIER),
+                     "a042d142bf8b3580f89d32fa186e97bc9f5b670e1fb363bd85e3f972e336acd4"),
+    "multi_scale": ((_STEM, _PROJ, _ENCODER, _FUSION,
+                     "multi_scale_proj.weight multi_scale_proj.bias", _CLASSIFIER),
+                    "a07a37804b0c3a940565401beb4e79630ba6878df58710c3f71f7067295dbf64"),
+    "no_projection": ((_STEM, _ENCODER, _FUSION, _CLASSIFIER),
+                      "cfe855cccbaef5196ed08e864e70cfbc3d408baa7b65751f2cfefc07fce130ce"),
+}
+
+
+class TestPinnedLayout:
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_names_and_checkpoint_bytes(self, tmp_path, variant):
+        cfg = tiny_cfg(variant=variant)
+        if variant == "no_projection":
+            cfg = replace(cfg, d=cfg.backbone_out_channels)
+        params = M.init_cast_params(cfg, seed=90)
+        groups, digest = PARAM_LAYOUTS[variant]
+        assert list(params.named_parameters()) == " ".join(groups).split()
+        path = tmp_path / "m.ckpt"
+        M.save_checkpoint(path, cfg, params)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

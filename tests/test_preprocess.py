@@ -189,6 +189,7 @@ class TestLoadSplit:
         assert [label for _, label in pp.load_split(manifest, "test")] == [0, 1, 0]
 
     @pytest.mark.parametrize("damage", ["bad_magic", "truncated", "trailing", "version",
+                                        "label_5", "label_0x80", "label_0xf9",
                                         "tensor_magic", "channels"])
     def test_structural_damage_names_the_clip(self, tmp_path, damage):
         manifest = self._dataset(tmp_path)
@@ -203,6 +204,8 @@ class TestLoadSplit:
             buf += b"\0"
         elif damage == "version":
             buf[8] = 9
+        elif damage.startswith("label_"):
+            buf[10] = int(damage[6:], 0)  # the label i8 follows magic and version
         elif damage == "tensor_magic":
             buf[tensor_at] = ord("Z")
         else:  # dims (2,3,4,4) -> (2,4,3,4): the same payload size, 4 channels

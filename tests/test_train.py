@@ -406,8 +406,8 @@ class TestEvaluate:
     def test_zero_classifier_scores_half(self, tiny_dataset, tmp_path):
         cfg = tiny_model_cfg()
         params = M.init_cast_params(cfg, seed=9)
-        params.classifier_w.data[:] = 0.0
-        params.classifier_b.data[:] = 0.0
+        params.classifier.weight.data[:] = 0.0
+        params.classifier.bias.data[:] = 0.0
         ckpt = tmp_path / "zero.ckpt"
         M.save_checkpoint(ckpt, cfg, params)
         report = metrics.evaluate(ckpt, tiny_dataset["manifest"])
