@@ -72,9 +72,8 @@ def cmd_eval(args) -> int:
     except ConfigError as e:
         raise CheckpointError(f"checkpoint incompatible with manifest clips: {e}") from None
     os.makedirs(out_dir, exist_ok=True)
-    report_path = os.path.join(out_dir, "report.txt")
-    roc_path = os.path.join(out_dir, "roc.tsv")
-    write_report(report, report_path, roc_path)
+    write_report(report, os.path.join(out_dir, "report.txt"),
+                 os.path.join(out_dir, "roc.tsv"), os.path.join(out_dir, "scores.tsv"))
     print(f"ACC {report.accuracy:.4f}")
     print(f"AUC {report.auc:.4f}")
     return 0

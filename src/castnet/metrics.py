@@ -91,17 +91,19 @@ class EvalReport:
     auc: float
     scores: list[float]
     labels: list[int]
+    paths: list[str]
 
     @property
     def n_videos(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
 
 
-def report_from_scores(scores, labels) -> EvalReport:
+def report_from_scores(scores, labels, paths) -> EvalReport:
     tp, tn, fp, fn, acc = accuracy(scores, labels)
     roc, auc = roc_auc(scores, labels)
     return EvalReport(tp=tp, tn=tn, fp=fp, fn=fn, accuracy=acc, roc=roc,
-                      auc=auc, scores=list(scores), labels=list(labels))
+                      auc=auc, scores=list(scores), labels=list(labels),
+                      paths=list(paths))
 
 
 def clip_scores(out: M.ModelOutput, mode: str) -> np.ndarray:
@@ -159,7 +161,8 @@ def evaluate(checkpoint_path, manifest_path,
     rows = load_split(manifest_path, "test")
     clips = (read_clip(path) for path, _ in rows)
     _, scores = score_clips(clips, params, cfg, mode, EVAL_BATCH)
-    return report_from_scores(scores, [label for _, label in rows])
+    return report_from_scores(scores, [label for _, label in rows],
+                              [path for path, _ in rows])
 
 
 def format_report(report: EvalReport) -> str:
@@ -175,9 +178,14 @@ def format_report(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: EvalReport, report_path, roc_path) -> None:
+def write_report(report: EvalReport, report_path, roc_path, scores_path) -> None:
+    """report.txt's counts, the ROC points, and one path, label and score
+    line per clip in manifest order."""
     with open(report_path, "w", encoding="utf-8", newline="") as f:
         f.write(format_report(report))
     with open(roc_path, "w", encoding="utf-8", newline="") as f:
         for fpr, tpr in report.roc:
             f.write(f"{fpr!r}\t{tpr!r}\n")
+    with open(scores_path, "w", encoding="utf-8", newline="") as f:
+        for path, label, score in zip(report.paths, report.labels, report.scores):
+            f.write(f"{path}\t{label}\t{score!r}\n")

@@ -378,9 +378,9 @@ def forward(clips, params: CastParams, cfg: CastConfig,
     clips is a list of equally shaped FrameClips, and seed one int per clip
     (an int is used for every clip). Outputs carry a leading batch axis. A
     lone FrameClip is a batch of one whose outputs have the per-clip shapes
-    of ModelOutput. mode 'eval' disables all dropout; mode 'train' derives
-    clip b's dropout masks from seed[b], so each clip's outputs equal those
-    of a forward over that clip alone.
+    of ModelOutput. mode 'eval' disables all dropout and derives no seeds;
+    mode 'train' derives clip b's dropout masks from seed[b], so each clip's
+    outputs equal those of a forward over that clip alone.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -391,6 +391,8 @@ def forward(clips, params: CastParams, cfg: CastConfig,
     seeds = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,) * len(batch)
     if len(seeds) != len(batch):
         raise ConfigError(f"{len(seeds)} seeds for {len(batch)} clips")
+    if mode == "eval":
+        seeds = None  # no dropout, so every derived seed is None too
     first = batch[0]
     if first.clip_len != cfg.clip_len:
         raise ConfigError(f"clip has {first.clip_len} frames, config wants {cfg.clip_len}")

@@ -15,6 +15,7 @@ so a recorded op does not keep its input alive.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -114,13 +115,16 @@ def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
             if rs is not None and cs is not None:
                 cols[:, :, i, j, rs[0], cs[0]] = xd[:, :, rs[1], cs[1]]
     cols = cols.reshape(n, c * kh * kw, h_out * w_out)
+    kshape = p.kernel.shape
     kmat = p.kernel.data.reshape(out_ch, -1)
     out = np.matmul(kmat, cols).reshape(lead + (out_ch, h_out, w_out))
     out += p.bias.data[:, None, None]
+    inputs = (x, p.kernel, p.bias)
     mask = None
     if relu:
         T.check_finite("conv2d", out)
-        mask = out > 0
+        if T.is_recording(inputs):  # only backward reads the mask
+            mask = out > 0
         np.fmax(out, 0.0, out=out)  # as T.relu: NaN -> 0, -0.0 -> +0.0
 
     need_gx = x.requires_grad
@@ -134,7 +138,7 @@ def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
             gkernel = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
         else:
             gkernel = np.tensordot(gm, cols, axes=([0, 2], [0, 2]))
-        gkernel = gkernel.reshape(p.kernel.shape)
+        gkernel = gkernel.reshape(kshape)
         if not need_gx:  # e.g. the clip frames at stage 0
             return None, gkernel, gbias
         kt = kmat.T
@@ -145,29 +149,28 @@ def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
         gx = flat.reshape(n, c, hp, wp)[:, :, pad:pad + h, pad:pad + w]
         return gx.astype(g.dtype, copy=False).reshape(lead + (c, h, w)), gkernel, gbias
 
-    return apply_op("conv2d", out, (x, p.kernel, p.bias), bwd)
+    return apply_op("conv2d", out, inputs, bwd)
 
 
 # Below this many output sites per image, one tensordot over all images beats
 # a per-image batched matmul summed over images; above it, tensordot's
 # contiguous copy of the column buffer dominates.
 _BATCHED_KGRAD_SITES = 64
-_SCRATCH_ENTRIES = 8
 _scratch_local = threading.local()
 
 
 def _scratch(shape: tuple, dtype) -> np.ndarray:
-    """An uninitialised array of this shape and dtype, reused by later calls
-    on the same thread; the caller must be done with it before the next."""
-    if not hasattr(_scratch_local, "bufs"):
-        _scratch_local.bufs = {}
-    bufs = _scratch_local.bufs
-    key = (shape, np.dtype(dtype))
-    if key not in bufs:
-        if len(bufs) >= _SCRATCH_ENTRIES:
-            del bufs[next(iter(bufs))]  # the oldest
-        bufs[key] = np.empty(shape, dtype)
-    return bufs[key]
+    """An uninitialised array of this shape and dtype: a view of the prefix
+    of one buffer per thread and dtype, which grows to the largest request.
+    Later calls on the same thread reuse it, so the caller must be done with
+    it before the next."""
+    bufs = _scratch_local.__dict__.setdefault("bufs", {})
+    dtype = np.dtype(dtype)
+    size = math.prod(shape)
+    buf = bufs.get(dtype)
+    if buf is None or buf.size < size:
+        buf = bufs[dtype] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
 
 
 @functools.lru_cache(maxsize=16)
@@ -268,13 +271,14 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     var = ((xd - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + p.eps)
     xhat = (xd - mu) * inv
-    out = p.gamma.data * xhat + p.beta.data
+    gamma = p.gamma.data
+    out = gamma * xhat + p.beta.data
     rows = tuple(range(x.ndim - 1))
 
     def bwd(g):
         dgamma = (g * xhat).sum(axis=rows)
         dbeta = g.sum(axis=rows)
-        dxhat = g * p.gamma.data
+        dxhat = g * gamma
         dx = inv * (dxhat
                     - dxhat.mean(axis=-1, keepdims=True)
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
@@ -313,8 +317,12 @@ def dropout(x: Tensor, rate: float, mode: str, seed=0) -> Tensor:
         raise ConfigError(f"unknown dropout mode '{mode}'")
     if mode == "eval" or rate == 0.0:
         return x
-    factor = _keep_mask(seed, x.shape, rate) * x.dtype.type(1.0 / (1.0 - rate))
-    return apply_op("dropout", x.data * factor, (x,), lambda g: (g * factor,))
+    keep = _keep_mask(seed, x.shape, rate)
+    scale = x.dtype.type(1.0 / (1.0 - rate))
+    # (a * keep) * scale equals a * (keep * scale) bit for bit, signed zeros
+    # and inf * 0 = NaN included, and the record keeps one byte per entry
+    return apply_op("dropout", x.data * keep * scale, (x,),
+                    lambda g: (g * keep * scale,))
 
 
 def _keep_mask(seed, shape: tuple, rate: float) -> np.ndarray:

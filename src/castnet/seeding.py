@@ -46,8 +46,11 @@ def derive_seed(base, *tokens):
     """Mix a base seed with string/int tokens into a new 64-bit seed.
 
     A tuple or list of base seeds (one per clip of a batch) gives the tuple
-    of their derived seeds.
+    of their derived seeds. None, the seed of an eval forward, which draws
+    no dropout masks, gives None.
     """
+    if base is None:
+        return None
     if isinstance(base, (tuple, list)):
         return tuple(derive_seed(b, *tokens) for b in base)
     h = _splitmix64(base & _MASK)

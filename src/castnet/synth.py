@@ -62,8 +62,9 @@ class ArtifactSpec:
             raise ConfigError(f"unknown artifact kind {self.kind!r}")
         if not self.amplitude >= 0:  # NaN fails too
             raise ConfigError("artifact amplitude must be >= 0")
-        if self.kind == "none" and self.amplitude != 0:
-            raise ConfigError("artifact kind 'none' requires amplitude 0")
+        if (self.kind == "none") != (self.amplitude == 0):
+            raise ConfigError("artifact kind 'none' requires amplitude 0, "
+                              "and every other kind an amplitude > 0")
         if self.period < 1:
             raise ConfigError("artifact period must be >= 1")
         if len(self.region) != 4:
@@ -97,6 +98,7 @@ class SynthConfig:
         if self.background_style not in BACKGROUND_STYLES:
             raise ConfigError(f"unknown background style {self.background_style!r}")
         self.artifact.validate()
+        _check_plants(self.artifact, self.frames, self.h, self.w)
 
 
 @dataclass
@@ -120,6 +122,22 @@ def _check_shape(frames: int, h: int, w: int) -> None:
         raise ConfigError("clips need at least 2 frames")
     if h < 2 or w < 2:  # pixel coordinates divide by h-1 and w-1
         raise ConfigError(f"frames need h >= 2 and w >= 2, got {h}x{w}")
+
+
+def _check_plants(spec: ArtifactSpec, frames: int, h: int, w: int) -> None:
+    """Reject a spec whose fake clips of this shape would carry no artifact:
+    a warp alone whose every per-frame roll is a whole number of turns of
+    the region, as at period 2 (no column shift) in a region under 5 pixels
+    tall (no row shift at amplitude 0.25)."""
+    if spec.kind != "warp":
+        return  # flicker and the seam add +-amplitude > 0 to the region
+    px0, py0, px1, py1 = region_pixels(spec.region, h, w)
+    region_h, region_w = py1 - py0, px1 - px0
+    if all(sy % region_h == 0 and sx % region_w == 0
+           for sy, sx in _warp_shifts(spec, frames, region_h, region_w)):
+        raise ConfigError(f"warp of amplitude {spec.amplitude!r} and period {spec.period} "
+                          f"moves no pixel of a {region_h}x{region_w} region "
+                          f"in {frames} frames")
 
 
 def region_pixels(region, h: int, w: int) -> tuple[int, int, int, int]:
@@ -216,9 +234,20 @@ def _square_wave(frames: int, period: int) -> np.ndarray:
     return np.where(np.arange(frames) % period < (period + 1) // 2, 1.0, -1.0)
 
 
+def _warp_shifts(spec: ArtifactSpec, frames: int, region_h: int,
+                 region_w: int) -> list[tuple[int, int]]:
+    """The (row, column) roll of the warped region in each frame."""
+    shifts = []
+    for t in range(frames):
+        phase = 2 * np.pi * t / spec.period
+        shifts.append((int(round(spec.amplitude * 0.5 * region_h * np.cos(phase))),
+                       int(round(spec.amplitude * 0.5 * region_w * np.sin(phase)))))
+    return shifts
+
+
 def _apply_artifact(clip: np.ndarray, spec: ArtifactSpec) -> np.ndarray:
     """Plant the artifact into the region; touches nothing outside it."""
-    if spec.kind == "none" or spec.amplitude == 0:
+    if spec.kind == "none":
         return clip
     frames, _, h, w = clip.shape
     px0, py0, px1, py1 = region_pixels(spec.region, h, w)
@@ -229,11 +258,8 @@ def _apply_artifact(clip: np.ndarray, spec: ArtifactSpec) -> np.ndarray:
     region_h = py1 - py0
 
     if "warp" in kinds:  # the shift changes per frame, so one roll per frame
-        for t in range(frames):
-            phase = 2 * np.pi * t / spec.period
-            sx = int(round(spec.amplitude * 0.5 * region_w * np.sin(phase)))
-            sy = int(round(spec.amplitude * 0.5 * region_h * np.cos(phase)))
-            region[t] = np.roll(region[t], (sy, sx), axis=(1, 2))
+        for t, shift in enumerate(_warp_shifts(spec, frames, region_h, region_w)):
+            region[t] = np.roll(region[t], shift, axis=(1, 2))
 
     if "flicker" in kinds:
         region += (spec.amplitude * _square_wave(frames, spec.period))[:, None, None, None]
@@ -254,6 +280,7 @@ def generate_clip(seed: int, label: int, spec: ArtifactSpec, frames: int = 16,
         raise ConfigError(f"label must be the int {LABEL_REAL} or {LABEL_FAKE}, got {label!r}")
     spec.validate()
     _check_shape(frames, h, w)
+    _check_plants(spec, frames, h, w)
     rng = np.random.Generator(np.random.PCG64(seed))
     raw = _draw_base_clip(rng, frames, h, w, background_style)
     if label == LABEL_FAKE:

@@ -138,6 +138,13 @@ def set_debug_nan_checks(enabled: bool) -> None:
     _debug_nan_checks = bool(enabled)
 
 
+def is_recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op over these inputs goes on the tape: recording is on
+    and some input requires a gradient. A fused op asks before building
+    state that only its backward reads."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
+
+
 def check_finite(op: str, out_data: np.ndarray) -> None:
     """With debug NaN checks on, raise NumericalFailure if op's output is not
     all finite. apply_op calls it; a fused op also calls it on an
@@ -158,7 +165,7 @@ def apply_op(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
     out.data = out_data
     out.requires_grad = False
     out.node_id = None
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    if is_recording(inputs):
         out.requires_grad = True
         out.node_id = _new_node_id()
         _tape.append(_OpRecord(op, out.node_id, tuple(t.node_id for t in inputs),
@@ -244,12 +251,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if b.ndim == 2:
         k, m = bd.shape
+        a_shape = a.shape
         a2 = ad.reshape(-1, k)
-        out = (a2 @ bd).reshape(a.shape[:-1] + (m,))
+        out = (a2 @ bd).reshape(a_shape[:-1] + (m,))
 
         def bwd(g):
             g2 = g.reshape(-1, m)
-            return (g2 @ bd.T).reshape(a.shape), a2.T @ g2
+            return (g2 @ bd.T).reshape(a_shape), a2.T @ g2
     else:
         if a.shape[:-2] != b.shape[:-2]:
             raise ShapeMismatch(f"leading axes differ: {a.shape} x {b.shape}")
@@ -402,11 +410,8 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
     if not tensors:
         raise ShapeMismatch("stack of zero tensors")
     out = np.stack([t.data for t in tensors], axis=0)
-
-    def bwd(g):
-        return tuple(g[i] for i in range(len(tensors)))
-
-    return apply_op("stack", out, tensors, bwd)
+    # backward hands out the views g[0], g[1], ...
+    return apply_op("stack", out, tensors, tuple)
 
 
 def mean_axis0(a: Tensor, axis: int = 0) -> Tensor:

@@ -201,8 +201,8 @@ def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
             batch_loss = T.scale(T.sum_all(losses), 1.0 / len(batch))
             scaled = (T.scale(batch_loss, cfg.loss_scale)
                       if cfg.loss_scale != 1.0 else batch_loss)
-            grads = T.backward(scaled)
-            applied += adam_step(tensors, grads, state, cfg)
+            # no name keeps the gradients, so they are freed after the update
+            applied += adam_step(tensors, T.backward(scaled), state, cfg)
             batch_losses.append(batch_loss.item())
         T.reset_graph()
 

@@ -13,6 +13,8 @@ from castnet import synth
 from castnet import tensor as T
 from castnet.config import load_experiment_config, parse_experiment_text
 from castnet.errors import ConfigError, FormatError
+from castnet.metrics import evaluate
+from castnet.preprocess import read_manifest
 from conftest import tiny_model_cfg
 
 
@@ -125,6 +127,14 @@ class TestCmdGen:
         path = write_config(tmp_path, synth=size)
         assert cli.main(["gen", "--config", str(path)]) == 2
         assert "h >= 2 and w >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "data").exists()
+
+    def test_warp_that_moves_no_pixel_exits_two(self, tmp_path, capsys):
+        # period 2 gives no column shift, and the 1-pixel-tall region at 8x8
+        # no row shift: every fake clip would equal its real twin
+        path = write_config(tmp_path, synth={"artifact_kind": "warp"})
+        assert cli.main(["gen", "--config", str(path)]) == 2
+        assert "moves no pixel" in capsys.readouterr().err
         assert not (tmp_path / "out" / "data").exists()
 
     def test_missing_config_exits_two(self, tmp_path):
@@ -295,6 +305,22 @@ class TestCmdEval:
         assert (tmp_path / "rep2" / "report.txt").read_bytes() == content
         assert (tmp_path / "rep2" / "roc.tsv").read_bytes() == roc
 
+    def test_scores_file_lists_each_clip(self, tiny_dataset, tmp_path):
+        cfg = tiny_model_cfg()
+        ckpt = tmp_path / "m.ckpt"
+        M.save_checkpoint(ckpt, cfg, M.init_cast_params(cfg, seed=4))
+        assert cli.main(["eval", "--checkpoint", str(ckpt),
+                         "--manifest", str(tiny_dataset["manifest"]),
+                         "--out", str(tmp_path / "rep")]) == 0
+        report = evaluate(ckpt, tiny_dataset["manifest"])
+        lines = (tmp_path / "rep" / "scores.tsv").read_text().splitlines()
+        assert lines == [f"{path}\t{label}\t{score!r}" for path, label, score
+                         in zip(report.paths, report.labels, report.scores)]
+        tests = [r for r in read_manifest(tiny_dataset["manifest"]) if r.split == "test"]
+        assert [line.split("\t")[0] for line in lines] == [
+            str(tiny_dataset["dir"] / r.path) for r in tests]
+        assert len(set(report.scores)) > 1
+
     def test_roc_file_endpoints(self, tiny_dataset, tmp_path):
         cfg = tiny_model_cfg()
         params = M.init_cast_params(cfg, seed=3)
@@ -439,6 +465,19 @@ class TestCmdAblate:
         with pytest.raises(SystemExit) as exc:
             cli.main(["ablate", "--config", str(cfg_path), "--seed", "3"])
         assert exc.value.code == 2
+
+    def test_shift_whose_warp_moves_no_pixel_exits_two(self, tmp_path, capsys):
+        # at 8x8 the region is 1x4: amplitude 0.3 rolls frame 1 by one column,
+        # the shifted 0.3 * 0.6 by none, so the shifted fakes carry nothing
+        cfg_path = write_config(
+            tmp_path, synth={"artifact_kind": "warp", "artifact_period": 4},
+            ablation={"seeds": "0", "shift_amplitude_scale": 0.6,
+                      "shift_background": "none", "shift_region_jitter": 0.0})
+        assert cli.main(["ablate", "--config", str(cfg_path)]) == 2
+        assert "moves no pixel" in capsys.readouterr().err
+        seed_dir = tmp_path / "out" / "ablate" / "seed0"
+        assert (seed_dir / "data" / "manifest.tsv").exists()
+        assert not (seed_dir / "full").exists()
 
     def test_failing_variant_partial_table_nonzero_exit(self, tmp_path, capsys):
         # d=16 != backbone C=8, so the no_projection variant cannot build;

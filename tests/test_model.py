@@ -10,7 +10,7 @@ import pytest
 
 from castnet import kvtext
 from castnet import model as M
-from castnet import nn, synth
+from castnet import nn, seeding, synth
 from castnet import tensor as T
 from castnet.errors import CheckpointError, ConfigError, FormatError
 from castnet.preprocess import FrameClip
@@ -362,6 +362,25 @@ class TestForward:
             b = M.forward(clip, params, cfg, mode="eval")
         assert np.array_equal(a.clip_logit.data, b.clip_logit.data)
         assert np.array_equal(a.frame_logits.data, b.frame_logits.data)
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_eval_forward_derives_no_seeds(self, variant, monkeypatch):
+        cfg = tiny_cfg(variant=variant)
+        params = M.init_cast_params(cfg, seed=48)
+        clips = [make_clip(cfg, seed=49 + i) for i in range(2)]
+
+        def refuse(x):
+            raise AssertionError("an eval forward derived a dropout seed")
+        monkeypatch.setattr(seeding, "_splitmix64", refuse)
+        taped = M.forward(clips, params, cfg, mode="eval", seed=[5, 6])
+        assert taped.clip_logit.requires_grad
+        with T.no_grad():
+            quiet = M.forward(clips, params, cfg, mode="eval", seed=[5, 6])
+        for name in ("clip_logit", "frame_logits", "attention"):
+            a, b = getattr(taped, name), getattr(quiet, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.data.tobytes() == b.data.tobytes(), name
 
     def test_train_mode_dropout_depends_on_seed(self):
         cfg = tiny_cfg()

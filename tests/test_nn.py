@@ -1,6 +1,8 @@
 """Neural ops against naive-loop oracles, plus their gradient checks."""
 
 import gc
+import inspect
+import re
 import threading
 import weakref
 
@@ -300,6 +302,16 @@ class TestConv2dBackward:
                 for a, b in zip(grads, want[t]):
                     np.testing.assert_array_equal(a, b)
 
+    def test_scratch_is_one_buffer_per_dtype(self):
+        # the default stage-1 and stage-2 column gradients share one buffer
+        a = nn._scratch((16, 144, 64), np.float64)
+        b = nn._scratch((16, 288, 16), np.float64)
+        assert a.shape == (16, 144, 64) and b.shape == (16, 288, 16)
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+        assert np.shares_memory(a, b)
+        c = nn._scratch((16, 288, 16), np.float32)
+        assert c.dtype == np.float32 and not np.shares_memory(b, c)
+
 
 class TestLinear:
     def _params(self, x_shape, d, seed):
@@ -506,6 +518,92 @@ class TestLeadingAxes:
         assert alive() is None
 
 
+class _Watched(T.Tensor):
+    """A Tensor that a weakref can watch."""
+    __slots__ = ("__weakref__",)
+
+
+def _leaf(shape, seed):
+    return _Watched(np.random.default_rng(seed).uniform(-1, 1, shape), requires_grad=True)
+
+
+def _attention_heads(w):
+    return nn.MhsaParams(heads=[nn.AttnHead(*w[0:3]), nn.AttnHead(*w[3:6])],
+                         out_proj=w[6], dropout=0.5)
+
+
+# name -> (input shapes, the op over inputs of those shapes); pointwise_project
+# and mhsa compose tape ops, whose records must not keep the inputs either
+RECORDED_OPS = {
+    "matmul_shared": ([(2, 3, 4), (4, 5)], T.matmul),
+    "matmul_batched": ([(2, 3, 4), (2, 4, 5)], T.matmul),
+    "add": ([(3, 4), (4,)], T.add),
+    "sub": ([(3, 4), (3, 4)], T.sub),
+    "mul": ([(3, 4), (4,)], T.mul),
+    "scale": ([(3, 4)], lambda a: T.scale(a, 2.0)),
+    "sigmoid": ([(3, 4)], T.sigmoid),
+    "exp": ([(3, 4)], T.exp),
+    "log": ([(3, 4)], lambda a: T.log(T.exp(a))),
+    "relu": ([(3, 4)], T.relu),
+    "softplus": ([(3, 4)], T.softplus),
+    "sum_all": ([(3, 4)], T.sum_all),
+    "reshape": ([(3, 4)], lambda a: T.reshape(a, (4, 3))),
+    "transpose": ([(2, 3, 4)], T.transpose),
+    "concat": ([(2, 3), (1, 3)], lambda a, b: T.concat([a, b], axis=0)),
+    "stack": ([(2, 3), (2, 3), (2, 3)], lambda *ts: T.stack(ts)),
+    "mean_axis0": ([(3, 4)], T.mean_axis0),
+    "repeat_rows": ([(2, 4)], lambda v: T.repeat_rows(v, 3)),
+    "conv2d": ([(2, 3, 8, 8), (4, 3, 3, 3), (4,)],
+               lambda x, k, b: nn.conv2d(x, nn.Conv2dParams(k, b, stride=2, padding=1))),
+    "conv2d_relu": ([(2, 3, 8, 8), (4, 3, 3, 3), (4,)],
+                    lambda x, k, b: nn.conv2d(x, nn.Conv2dParams(k, b, 2, 1), relu=True)),
+    "avg_pool2d": ([(2, 3, 4, 4)], lambda x: nn.avg_pool2d(x, 2)),
+    "linear": ([(2, 3, 4), (5, 4), (5,)], nn.linear),
+    "global_avg_pool": ([(2, 3, 4, 4)], nn.global_avg_pool),
+    "layer_norm": ([(2, 3, 4), (4,), (4,)],
+                   lambda x, g, b: nn.layer_norm(x, nn.LayerNormParams(g, b))),
+    "softmax_rows": ([(3, 4)], nn.softmax_rows),
+    "dropout": ([(3, 4)], lambda x: nn.dropout(x, 0.5, "train", seed=3)),
+    "pointwise_project": ([(2, 3, 4, 4), (5, 3), (5,)],
+                          lambda x, w, b: nn.pointwise_project(x, nn.PointwiseProj(w, b))),
+    "mhsa": ([(2, 3, 4)] + [(4, 2)] * 6 + [(4, 4)],
+             lambda x, *w: nn.mhsa(x, _attention_heads(w), "train", seed=[1, 2])),
+}
+
+
+class TestRecordsKeepNoInputTensor:
+    """A recorded op's backward rule keeps shapes and arrays, never an input
+    Tensor, so the record does not keep its inputs alive."""
+
+    @pytest.mark.parametrize("name", sorted(RECORDED_OPS))
+    def test_inputs_freed_while_record_on_tape(self, name):
+        shapes, op = RECORDED_OPS[name]
+        inputs = [_leaf(shape, seed) for seed, shape in enumerate(shapes)]
+        out = op(*inputs)
+        assert out.requires_grad and T._tape
+        refs = [weakref.ref(t) for t in inputs]
+        del inputs
+        gc.collect()
+        assert [r() is None for r in refs] == [True] * len(refs)
+        grads = T.backward(T.sum_all(out))  # the tape still replays without them
+        assert all(np.all(np.isfinite(g.data)) for g in grads.values())
+
+    def test_every_op_is_covered(self, monkeypatch):
+        source = inspect.getsource(T) + inspect.getsource(nn)
+        names = set(re.findall(r'apply_op\("(\w+)"', source))
+        seen = set()
+        real = T.apply_op
+
+        def spy(op, *args):
+            seen.add(op)
+            return real(op, *args)
+        monkeypatch.setattr(T, "apply_op", spy)
+        monkeypatch.setattr(nn, "apply_op", spy)
+        for shapes, op in RECORDED_OPS.values():
+            op(*[_leaf(shape, seed) for seed, shape in enumerate(shapes)])
+        assert len(names) == 24 and names <= seen
+
+
 class TestLayerNorm:
     def test_three_point_row(self):
         # mean 2, biased variance 2/3 -> (x - 2) / sqrt(2/3)
@@ -706,6 +804,31 @@ class TestDropout:
                 assert np.array_equal(out[h, b], alone)
         with pytest.raises(ShapeMismatch):
             nn.dropout(x, 0.4, "train", seed=[[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_float_factor_bit_for_bit(self, dtype, monkeypatch):
+        # the reference multiplies by the float factor keep * 1/(1-rate);
+        # -0.0, x * 0 of a negative x and NaN from inf * 0 must match too
+        specials = np.array([-1.5, -0.0, 0.0, np.inf, -np.inf, np.nan, 2.0, -3e-300])
+        xd = np.resize(specials, (4, 40)).astype(dtype)
+        gd = np.resize(specials[::-1], (4, 40)).astype(dtype)
+        captured = []
+
+        def capture(op, out_data, inputs, backward_fn):
+            captured.append(backward_fn)
+            return T.apply_op(op, out_data, inputs, backward_fn)
+        monkeypatch.setattr(nn, "apply_op", capture)
+        factor = nn._keep_mask(8, xd.shape, 0.4) * dtype(1.0 / (1.0 - 0.4))
+        bits = np.uint64 if dtype == np.float64 else np.uint32
+        with np.errstate(invalid="ignore"):  # inf * 0
+            out = nn.dropout(T.Tensor(xd, requires_grad=True, dtype=dtype), 0.4, "train",
+                             seed=8)
+            (gx,) = captured[-1](gd)
+            want_out, want_gx = xd * factor, gd * factor
+        assert out.dtype == gx.dtype == dtype
+        assert np.isnan(want_out).any() and np.signbit(want_out[want_out == 0]).any()
+        np.testing.assert_array_equal(out.data.view(bits), want_out.view(bits))
+        np.testing.assert_array_equal(gx.view(bits), want_gx.view(bits))
 
 
 def single_head_attention_oracle(x, wq, wk, wv, wo):

@@ -2,6 +2,7 @@
 dataset assembly, distribution shifts, and the no-signal sanity floor."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -90,11 +91,49 @@ class TestGenerateClip:
         with pytest.raises(InvalidRegion):
             synth.generate_clip(1, 1, spec, frames=4, h=8, w=8)
 
+    def test_every_accepted_spec_plants_something(self):
+        # a fake clip with no artifact in it would be a label error
+        accepted = rejected = 0
+        for kind, style, region, (frames, h, w), period, amplitude in itertools.product(
+                synth.ARTIFACT_KINDS, synth.BACKGROUND_STYLES,
+                [synth.ArtifactSpec().region, (0.0, 0.0, 1.0, 1.0)],
+                [(2, 2, 2), (3, 2, 5), (4, 8, 8), (4, 10, 14), (5, 16, 16), (4, 32, 32)],
+                range(1, 6), [0.0, 0.05, 0.25, 0.6, 1.0, 4.0]):
+            spec = synth.ArtifactSpec(kind=kind, amplitude=amplitude, region=region,
+                                      period=period)
+            try:
+                fake = synth.generate_clip(31, 1, spec, frames, h, w, style)
+            except (ConfigError, InvalidRegion):
+                rejected += 1
+                continue
+            accepted += 1
+            real = synth.generate_clip(31, 0, spec, frames, h, w, style)
+            same = np.array_equal(fake.frames.data, real.frames.data)
+            assert same == (kind == "none"), (kind, style, region, frames, h, w, period,
+                                              amplitude)
+        assert accepted > 1000 and rejected > 1000
+
+    def test_warp_that_moves_no_pixel_rejected(self):
+        # period 2: no column shift; a region under 5 pixels tall: no row shift
+        # at amplitude 0.25. The fake equalled the real clip at 8x8 to 16x16.
+        for h, w in [(8, 8), (10, 14), (16, 16)]:
+            with pytest.raises(ConfigError, match="moves no pixel"):
+                synth.generate_clip(3, 1, synth.ArtifactSpec(kind="warp"), 4, h, w)
+            with pytest.raises(ConfigError, match="moves no pixel"):
+                small_cfg(frames=4, h=h, w=w, artifact=synth.ArtifactSpec(kind="warp")).validate()
+        small_cfg(frames=4, h=32, w=32, artifact=synth.ArtifactSpec(kind="warp")).validate()
+        # a roll by the whole region is no roll either
+        spec = synth.ArtifactSpec(kind="warp", amplitude=4.0, period=4)
+        with pytest.raises(ConfigError, match="moves no pixel"):
+            synth.generate_clip(3, 0, spec, 4, 32, 32)
+
     def test_invalid_artifact_configs(self):
         with pytest.raises(ConfigError):
             synth.ArtifactSpec(kind="sparkle").validate()
         with pytest.raises(ConfigError):
             synth.ArtifactSpec(kind="none", amplitude=0.1).validate()
+        with pytest.raises(ConfigError, match="amplitude > 0"):
+            synth.ArtifactSpec(kind="flicker", amplitude=0.0).validate()
         with pytest.raises(InvalidRegion):
             synth.ArtifactSpec(region=(0.5, 0.1, 0.4, 0.9)).validate()
         for region in [(0.1, 0.1, 0.9), (0.1, 0.1, 0.5, 0.5, 0.9)]:

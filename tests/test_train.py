@@ -390,6 +390,22 @@ class TestTrainLoop:
         # each epoch reads the 12 train clips in steps of 4, then the 6 val clips
         assert len(live) == 2 * (12 + 6) and max(live) == 4
 
+    def test_step_gradients_freed_before_next_backward(self, tiny_dataset, tmp_path,
+                                                        monkeypatch):
+        refs = []
+        real = T.backward
+
+        def watched(loss):
+            assert all(r() is None for r in refs), "an earlier step's gradients are alive"
+            grads = real(loss)
+            refs.append(weakref.ref(grads))
+            return grads
+        monkeypatch.setattr(T, "backward", watched)
+        cfg = TrainConfig(max_epochs=2, batch_size=4, seed=0)
+        train(tiny_dataset["model_cfg"], tiny_dataset["manifest"],
+              tiny_dataset["manifest"], cfg, tmp_path / "run")
+        assert len(refs) == 2 * 3  # 12 train clips in steps of 4, two epochs
+
     def test_loss_scale_invariance(self, tiny_dataset, tmp_path):
         results = []
         for scale in (1.0, 1024.0):
