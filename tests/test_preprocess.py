@@ -234,6 +234,16 @@ class TestManifest:
         back = pp.read_manifest(path)
         assert back == records
 
+    def test_bytes_pinned(self, tmp_path):
+        records = [pp.ClipRecord("train/clip_00000.castclip", 1, "train"),
+                   pp.ClipRecord("val/é clip.castclip", 0, "val"),
+                   pp.ClipRecord("test/clip_00002.castclip", 0, "test")]
+        path = tmp_path / "manifest.tsv"
+        pp.write_manifest(path, records)
+        assert path.read_bytes() == (b"train/clip_00000.castclip\t1\ttrain\n"
+                                     b"val/\xc3\xa9 clip.castclip\t0\tval\n"
+                                     b"test/clip_00002.castclip\t0\ttest\n")
+
     def test_malformed_rows(self, tmp_path):
         path = tmp_path / "manifest.tsv"
         path.write_text("a.castclip\t1\n")

@@ -418,6 +418,23 @@ class TestTrainLoop:
                                        atol=1e-9, err_msg=name)
 
 
+class TestWriteReport:
+    def test_bytes_pinned(self, tmp_path):
+        report = metrics.EvalReport(
+            tp=1, tn=1, fp=0, fn=1, accuracy=2 / 3,
+            roc=[(0.0, 0.0), (0.0, 0.5), (1.0, 1.0)], auc=0.75,
+            scores=[0.9, 0.1 + 0.2, 0.125], labels=[1, 0, 1],
+            paths=["/data/test/a.castclip", "/data/test/ü b.castclip", "rel/c.castclip"])
+        paths = [tmp_path / name for name in ("report.txt", "roc.tsv", "scores.tsv")]
+        metrics.write_report(report, *paths)
+        assert paths[0].read_bytes() == (b"n_videos\t3\ntp\t1\ntn\t1\nfp\t0\nfn\t1\n"
+                                         b"accuracy\t0.6666666666666666\nauc\t0.75\n")
+        assert paths[1].read_bytes() == b"0.0\t0.0\n0.0\t0.5\n1.0\t1.0\n"
+        assert paths[2].read_bytes() == (b"/data/test/a.castclip\t1\t0.9\n"
+                                         b"/data/test/\xc3\xbc b.castclip\t0\t0.30000000000000004\n"
+                                         b"rel/c.castclip\t1\t0.125\n")
+
+
 class TestEvaluate:
     def test_zero_classifier_scores_half(self, tiny_dataset, tmp_path):
         cfg = tiny_model_cfg()
