@@ -24,6 +24,7 @@ from .errors import (
 )
 from .heatmap import render_heatmap
 from .metrics import evaluate, write_report
+from .preprocess import to_tsv, write_file
 from .synth import dataset_checksum, generate_dataset, shifted_variant
 from .train import train
 
@@ -113,17 +114,14 @@ def cmd_ablate(args) -> int:
             rows.append((variant, str(seed), auc_in, auc_shift))
 
     rows.sort(key=lambda r: (r[0], r[1]))
-    table = ["variant\tseed\tin_auc\tshifted_auc\n"]
+    table = [("variant", "seed", "in_auc", "shifted_auc")]
     for variant in sorted(set(r[0] for r in rows)):
         v_rows = [r for r in rows if r[0] == variant]
-        for _, seed, auc_in, auc_shift in v_rows:
-            table.append(f"{variant}\t{seed}\t{auc_in!r}\t{auc_shift!r}\n")
-        mean_in = sum(r[2] for r in v_rows) / len(v_rows)
-        mean_shift = sum(r[3] for r in v_rows) / len(v_rows)
-        table.append(f"{variant}\tmean\t{mean_in!r}\t{mean_shift!r}\n")
+        table += v_rows
+        table.append((variant, "mean", sum(r[2] for r in v_rows) / len(v_rows),
+                      sum(r[3] for r in v_rows) / len(v_rows)))
     table_path = os.path.join(root, "ablation.tsv")
-    with open(table_path, "w", encoding="utf-8", newline="") as f:
-        f.writelines(table)
+    write_file(table_path, to_tsv(table))
     print(table_path)
 
     if failures:
@@ -158,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--manifest", required=True)
-    p_eval.add_argument("--mode", choices=("clip", "frame_mean"), default=None)
+    p_eval.add_argument("--mode", choices=M.EVAL_LOGIT_MODES, default=None)
     p_eval.add_argument("--out", default=None)
     p_eval.set_defaults(func=cmd_eval)
 

@@ -3,14 +3,12 @@ grayscale PGM image at the clip's resolution."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from . import model as M
 from . import tensor as T
 from .errors import ConfigError, FormatError, UnsupportedVariant
-from .preprocess import read_clip
+from .preprocess import read_clip, write_file
 
 
 def grid_to_image(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -33,12 +31,7 @@ def write_pgm(path, img: np.ndarray) -> None:
     if img.dtype != np.uint8 or img.ndim != 2:
         raise ConfigError("PGM writer expects a 2-D uint8 image")
     h, w = img.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(header + img.tobytes())
-    os.replace(tmp, path)
+    write_file(path, f"P5\n{w} {h}\n255\n".encode("ascii") + img.tobytes())
 
 
 def read_pgm(path) -> np.ndarray:

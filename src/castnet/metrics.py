@@ -11,7 +11,7 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .errors import ConfigError, DegenerateEval, EmptyEval, NumericalFailure, ShapeMismatch
-from .preprocess import FrameClip, load_split, read_clip
+from .preprocess import FrameClip, load_split, read_clip, to_tsv, write_file
 from .tensor import stable_sigmoid
 
 # clips per batched forward in evaluate; 32 measured no faster than 8
@@ -165,27 +165,12 @@ def evaluate(checkpoint_path, manifest_path,
                               [path for path, _ in rows])
 
 
-def format_report(report: EvalReport) -> str:
-    lines = [
-        f"n_videos\t{report.n_videos}",
-        f"tp\t{report.tp}",
-        f"tn\t{report.tn}",
-        f"fp\t{report.fp}",
-        f"fn\t{report.fn}",
-        f"accuracy\t{report.accuracy!r}",
-        f"auc\t{report.auc!r}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def write_report(report: EvalReport, report_path, roc_path, scores_path) -> None:
     """report.txt's counts, the ROC points, and one path, label and score
     line per clip in manifest order."""
-    with open(report_path, "w", encoding="utf-8", newline="") as f:
-        f.write(format_report(report))
-    with open(roc_path, "w", encoding="utf-8", newline="") as f:
-        for fpr, tpr in report.roc:
-            f.write(f"{fpr!r}\t{tpr!r}\n")
-    with open(scores_path, "w", encoding="utf-8", newline="") as f:
-        for path, label, score in zip(report.paths, report.labels, report.scores):
-            f.write(f"{path}\t{label}\t{score!r}\n")
+    write_file(report_path, to_tsv([
+        ("n_videos", report.n_videos), ("tp", report.tp), ("tn", report.tn),
+        ("fp", report.fp), ("fn", report.fn), ("accuracy", report.accuracy),
+        ("auc", report.auc)]))
+    write_file(roc_path, to_tsv(report.roc))
+    write_file(scores_path, to_tsv(zip(report.paths, report.labels, report.scores)))

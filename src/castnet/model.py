@@ -38,7 +38,7 @@ from .nn import (
     MhsaParams,
     PointwiseProj,
 )
-from .preprocess import FrameClip
+from .preprocess import FrameClip, write_file
 from .seeding import derive_seed
 from .tensor import Tensor, tensor_from_bytes, tensor_to_bytes
 
@@ -464,11 +464,7 @@ def save_checkpoint(path, cfg: CastConfig, params: CastParams) -> None:
         parts.append(struct.pack("<H", len(name_b)))
         parts.append(name_b)
         parts.append(tensor_to_bytes(tensor))
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(b"".join(parts))
-    os.replace(tmp, path)
+    write_file(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> tuple[CastConfig, CastParams]:

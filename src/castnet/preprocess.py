@@ -28,6 +28,9 @@ CLIP_VERSION = 1
 LABEL_REAL = 0
 LABEL_FAKE = 1
 
+# dataset splits, in the order of their seed codes (code = index)
+SPLITS = ("train", "val", "test")
+
 # the longest clip header: magic, version, label, the longest source id,
 # the two rates and the longest tensor header
 CLIP_HEADER_MAX = len(CLIP_MAGIC) + 5 + 0xFFFF + 16 + TENSOR_HEADER_MAX
@@ -114,6 +117,23 @@ def plan_sampling(f_orig: float, r: float, total_frames: int,
                         selected_indices=indices)
 
 
+def write_file(path, data: bytes) -> None:
+    """Whole-file atomic write: data goes to a temp file beside path, which
+    then replaces path, so a reader sees the old file or the new one, never
+    a torn one. Every file castnet writes goes through here."""
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as f:
+        f.write(data)
+    os.replace(tmp, path)
+
+
+def to_tsv(rows) -> bytes:
+    """UTF-8 text with one line per row: the fields through str(), joined
+    by tabs. str() of an int or float is its repr, so numbers round-trip."""
+    return "".join("\t".join(map(str, row)) + "\n" for row in rows).encode("utf-8")
+
+
 def normalize_frame(frame: Tensor, spec: NormalizationSpec = NormalizationSpec()) -> Tensor:
     """Per-channel (x - mean) / std over (..., 3, H, W) frames in [0,1]."""
     mean = np.asarray(spec.mean, dtype=frame.data.dtype)[:, None, None]
@@ -188,12 +208,7 @@ def clip_from_bytes(buf: bytes) -> FrameClip:
 
 
 def write_clip(path, clip: FrameClip) -> None:
-    """Whole-file atomic write (temp file + rename)."""
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(clip_to_bytes(clip))
-    os.replace(tmp, path)
+    write_file(path, clip_to_bytes(clip))
 
 
 def read_clip(path) -> FrameClip:
@@ -213,12 +228,7 @@ class ClipRecord:
 
 
 def write_manifest(path, records: list[ClipRecord]) -> None:
-    lines = [f"{r.path}\t{r.label}\t{r.split}\n" for r in records]
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as f:
-        f.writelines(lines)
-    os.replace(tmp, path)
+    write_file(path, to_tsv((r.path, r.label, r.split) for r in records))
 
 
 def read_manifest(path) -> list[ClipRecord]:
@@ -237,7 +247,7 @@ def read_manifest(path) -> list[ClipRecord]:
             raise FormatError(f"{path}:{lineno}: NUL byte in clip path")
         if label not in ("0", "1"):
             raise FormatError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
-        if split not in ("train", "val", "test"):
+        if split not in SPLITS:
             raise FormatError(f"{path}:{lineno}: unknown split {split!r}")
         records.append(ClipRecord(path=rel, label=int(label), split=split))
     return records

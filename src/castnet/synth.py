@@ -27,6 +27,7 @@ import numpy as np
 from . import kvtext
 from .errors import ConfigError, InvalidRegion
 from .preprocess import (
+    SPLITS,
     ClipRecord,
     FrameClip,
     LABEL_FAKE,
@@ -34,6 +35,7 @@ from .preprocess import (
     is_label,
     normalize_frame,
     write_clip,
+    write_file,
     write_manifest,
 )
 from .tensor import Tensor
@@ -46,8 +48,6 @@ BACKGROUND_STYLES = ("smooth_gradient", "blotchy")
 # never clip against [0,1], keeping artifact energy proportional to amplitude.
 _PIXEL_LO = 0.26
 _PIXEL_HI = 0.74
-
-_SPLITS = ("train", "val", "test")
 
 
 @dataclass
@@ -125,12 +125,20 @@ def _check_shape(frames: int, h: int, w: int) -> None:
 
 
 def _check_plants(spec: ArtifactSpec, frames: int, h: int, w: int) -> None:
-    """Reject a spec whose fake clips of this shape would carry no artifact:
-    a warp alone whose every per-frame roll is a whole number of turns of
-    the region, as at period 2 (no column shift) in a region under 5 pixels
-    tall (no row shift at amplitude 0.25)."""
+    """Reject a spec whose fake clips of this shape may carry no artifact:
+    a flicker or seam offset that may round away at every base pixel, or a
+    warp alone whose every per-frame roll is a whole number of turns of the
+    region, as at period 2 (no column shift) in a region under 5 pixels tall
+    (no row shift at amplitude 0.25)."""
+    if spec.kind in ("flicker", "texture_seam", "combined"):
+        # float64 spacing is widest at the brightest base pixel, so an offset
+        # above half of it there moves every pixel in the band
+        if spec.amplitude <= np.spacing(_PIXEL_HI) / 2:
+            raise ConfigError(f"{spec.kind} amplitude {spec.amplitude!r} may change no "
+                              f"pixel: it is at most half the float64 spacing at {_PIXEL_HI}")
+        return
     if spec.kind != "warp":
-        return  # flicker and the seam add +-amplitude > 0 to the region
+        return
     px0, py0, px1, py1 = region_pixels(spec.region, h, w)
     region_h, region_w = py1 - py0, px1 - px0
     if all(sy % region_h == 0 and sx % region_w == 0
@@ -301,13 +309,12 @@ def generate_dataset(cfg: SynthConfig, out_dir) -> DatasetManifest:
     cfg.validate()
     out_dir = os.fspath(out_dir)
     records = []
-    split_codes = {"train": 0, "val": 1, "test": 2}
-    counts = {"train": cfg.n_train, "val": cfg.n_val, "test": cfg.n_test}
-    for split in _SPLITS:
+    counts = (cfg.n_train, cfg.n_val, cfg.n_test)
+    for code, (split, count) in enumerate(zip(SPLITS, counts)):
         os.makedirs(os.path.join(out_dir, split), exist_ok=True)
-        labels = _split_labels(counts[split], cfg.fake_fraction)
+        labels = _split_labels(count, cfg.fake_fraction)
         for idx, label in enumerate(labels):
-            seed = cfg.base_seed ^ derive_seed(0, split_codes[split], idx)
+            seed = cfg.base_seed ^ derive_seed(0, code, idx)
             rel = f"{split}/clip_{idx:05d}.castclip"
             clip = generate_clip(seed, label, cfg.artifact, cfg.frames, cfg.h,
                                  cfg.w, cfg.background_style,
@@ -317,8 +324,7 @@ def generate_dataset(cfg: SynthConfig, out_dir) -> DatasetManifest:
     manifest_path = os.path.join(out_dir, "manifest.tsv")
     write_manifest(manifest_path, records)
     snapshot = kvtext.encode(cfg)
-    with open(os.path.join(out_dir, "gen_config.txt"), "w", encoding="utf-8") as f:
-        f.write(snapshot)
+    write_file(os.path.join(out_dir, "gen_config.txt"), snapshot.encode("utf-8"))
     return DatasetManifest(records=records, manifest_path=manifest_path,
                            config_snapshot=snapshot)
 

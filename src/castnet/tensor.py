@@ -218,10 +218,6 @@ def ones(shape, requires_grad=False, dtype=None) -> Tensor:
     return Tensor(np.ones(_check_shape(shape)), requires_grad, dtype)
 
 
-def full(shape, value: float, requires_grad=False, dtype=None) -> Tensor:
-    return Tensor(np.full(_check_shape(shape), float(value)), requires_grad, dtype)
-
-
 def uniform(shape, lo: float, hi: float, seed: int, requires_grad=False, dtype=None) -> Tensor:
     shape = _check_shape(shape)
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -4,7 +4,7 @@ the training loop with best-validation checkpointing."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Sequence, Union
 
 import numpy as np
@@ -13,7 +13,7 @@ from . import model as M
 from . import tensor as T
 from .errors import ConfigError, DivergenceError, ShapeMismatch
 from .metrics import roc_auc, score_clips
-from .preprocess import load_split, read_clip
+from .preprocess import load_split, read_clip, to_tsv, write_file
 from .seeding import derive_seed
 from .tensor import GradientMap, Tensor
 
@@ -84,22 +84,29 @@ def adam_step(params: Sequence[Tensor], grads: GradientMap, state: AdamState,
     """
     params = list(params)
     inv_scale = 1.0 / cfg.loss_scale
-    unscaled = []
+
+    def unscale(gd):
+        return gd * inv_scale if cfg.loss_scale != 1.0 else gd
+
+    # the map's own arrays, not copies; a missing gradient is zero
+    raw = []
     for p in params:
         if p.node_id is None:
             raise ConfigError("adam_step updates only tensors made with requires_grad=True")
-        gd = grads.of(p).data
+        g = grads.get(p.node_id)
+        gd = np.zeros_like(p.data) if g is None else g.data.astype(p.dtype, copy=False)
         if gd.shape != p.data.shape:
             raise ShapeMismatch(f"gradient shape {gd.shape} != param {p.data.shape}")
-        unscaled.append(gd * inv_scale if cfg.loss_scale != 1.0 else gd)
-    if any(not np.all(np.isfinite(g)) for g in unscaled):
+        raw.append(gd)
+    if any(not np.all(np.isfinite(unscale(gd))) for gd in raw):
         return False
 
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
-    for p, g in zip(params, unscaled):
+    for p, gd in zip(params, raw):
+        g = unscale(gd)
         if cfg.weight_decay:
             g = g + cfg.weight_decay * p.data
         prev = state.moments.get(p.node_id)
@@ -145,14 +152,6 @@ def _validate_epoch(params: M.CastParams, cfg: M.CastConfig,
     else:
         auc = float("nan")  # diverged weights; the epoch loop decides what next
     return float(np.mean(losses)), auc
-
-
-def format_history(history: list[EpochRecord]) -> str:
-    lines = ["epoch\ttrain_loss\tval_loss\tval_auc\n"]
-    for rec in history:
-        lines.append(f"{rec.epoch}\t{rec.train_loss!r}\t{rec.val_loss!r}"
-                     f"\t{rec.val_auc!r}\n")
-    return "".join(lines)
 
 
 def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
@@ -220,8 +219,8 @@ def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
             best_epoch = epoch
             M.save_checkpoint(ckpt_path, model_cfg, params)
 
-    with open(history_path, "w", encoding="utf-8", newline="") as f:
-        f.write(format_history(history))
+    write_file(history_path, to_tsv([[f.name for f in fields(EpochRecord)]]
+                                     + [astuple(rec) for rec in history]))
     if best_epoch < 0:
         raise DivergenceError(f"no epoch reached a finite validation loss, so no "
                               f"checkpoint was written (history in {history_path})")

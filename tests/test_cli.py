@@ -1,5 +1,6 @@
 """CLI contract: verbs, exit codes, printed output, artifact validity."""
 
+import os
 import struct
 import tracemalloc
 
@@ -135,6 +136,15 @@ class TestCmdGen:
         path = write_config(tmp_path, synth={"artifact_kind": "warp"})
         assert cli.main(["gen", "--config", str(path)]) == 2
         assert "moves no pixel" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "data").exists()
+
+    @pytest.mark.parametrize("kind", ["flicker", "texture_seam", "combined"])
+    def test_amplitude_below_pixel_spacing_exits_two(self, tmp_path, capsys, kind):
+        # +-1e-17 rounds away at every pixel value in [0.26, 0.74]
+        path = write_config(tmp_path, synth={"artifact_kind": kind,
+                                             "artifact_amplitude": 1e-17})
+        assert cli.main(["gen", "--config", str(path)]) == 2
+        assert "may change no pixel" in capsys.readouterr().err
         assert not (tmp_path / "out" / "data").exists()
 
     def test_missing_config_exits_two(self, tmp_path):
@@ -320,6 +330,21 @@ class TestCmdEval:
         assert [line.split("\t")[0] for line in lines] == [
             str(tiny_dataset["dir"] / r.path) for r in tests]
         assert len(set(report.scores)) > 1
+
+    def test_interrupted_write_keeps_old_report(self, tiny_dataset, zero_classifier_ckpt,
+                                                tmp_path, monkeypatch):
+        # a run killed between writing and renaming leaves the last report whole
+        out = tmp_path / "rep"
+        out.mkdir()
+        (out / "report.txt").write_bytes(b"old report\n")
+
+        def killed(src, dst):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["eval", "--checkpoint", str(zero_classifier_ckpt),
+                      "--manifest", str(tiny_dataset["manifest"]), "--out", str(out)])
+        assert (out / "report.txt").read_bytes() == b"old report\n"
 
     def test_roc_file_endpoints(self, tiny_dataset, tmp_path):
         cfg = tiny_model_cfg()

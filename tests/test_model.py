@@ -128,7 +128,7 @@ class TestTokens:
     def test_temporal_tokens_constant_map(self):
         cfg = tiny_cfg()
         params = M.init_cast_params(cfg, seed=7)
-        fmaps = T.full((2, 8, 2, 2), 1.5)
+        fmaps = T.Tensor(np.full((2, 8, 2, 2), 1.5))
         tt = M.temporal_tokens(fmaps, params.temporal_proj).data
         expected = params.temporal_proj.weight.data @ np.full(8, 1.5) \
             + params.temporal_proj.bias.data
@@ -222,7 +222,7 @@ def identity_fusion(d=1, out_bias=0.0):
     head = nn.AttnHead(wq=T.Tensor(np.eye(d)), wk=T.Tensor(np.eye(d)),
                        wv=T.Tensor(np.eye(d)))
     return M.FusionParams(heads=[head], out_proj=T.Tensor(np.eye(d)),
-                          out_bias=T.full((d,), out_bias),
+                          out_bias=T.Tensor(np.full((d,), out_bias)),
                           ln=nn.init_layer_norm(d))
 
 

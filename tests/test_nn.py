@@ -409,7 +409,7 @@ class TestGlobalAvgPool:
         np.testing.assert_array_equal(nn.global_avg_pool(fm).data, [2.5])
 
     def test_constant_map(self):
-        fm = T.full((5, 3, 7), 1.25)
+        fm = T.Tensor(np.full((5, 3, 7), 1.25))
         np.testing.assert_allclose(nn.global_avg_pool(fm).data, np.full(5, 1.25),
                                    atol=1e-15)
 
@@ -614,8 +614,8 @@ class TestLayerNorm:
         np.testing.assert_allclose(out[0], [-1.224744871, 0.0, 1.224744871], atol=1e-9)
 
     def test_constant_row_maps_to_beta(self):
-        p = nn.LayerNormParams(gamma=T.ones((4,)), beta=T.full((4,), 0.7), eps=1e-5)
-        out = nn.layer_norm(T.full((2, 4), 3.0), p).data
+        p = nn.LayerNormParams(gamma=T.ones((4,)), beta=T.Tensor(np.full((4,), 0.7)), eps=1e-5)
+        out = nn.layer_norm(T.Tensor(np.full((2, 4), 3.0)), p).data
         np.testing.assert_allclose(out, np.full((2, 4), 0.7), atol=1e-12)
 
     def test_row_statistics(self):

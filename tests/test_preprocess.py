@@ -1,6 +1,8 @@
 """Frame sampling arithmetic, normalization, resizing, clip file format."""
 
+import ast
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,3 +266,49 @@ class TestManifest:
         path.write_bytes(b"a.castclip\t1\ttrain\r\nb.castclip\t0\tval\r\n")
         assert pp.read_manifest(path) == [pp.ClipRecord("a.castclip", 1, "train"),
                                           pp.ClipRecord("b.castclip", 0, "val")]
+
+
+def _file_writes(source: str) -> list[tuple[str, int, str]]:
+    """(enclosing function, line, call) for each open() whose mode may
+    write and each os.replace() in a module's source."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            name = func
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+            elif isinstance(child, ast.Call):
+                f = child.func
+                if isinstance(f, ast.Name) and f.id == "open":
+                    mode = child.args[1] if len(child.args) > 1 else next(
+                        (k.value for k in child.keywords if k.arg == "mode"), None)
+                    if mode is not None and not (isinstance(mode, ast.Constant)
+                                                 and not set("wax+") & set(mode.value)):
+                        found.append((func, child.lineno, "open"))
+                elif (isinstance(f, ast.Attribute) and f.attr == "replace"
+                      and isinstance(f.value, ast.Name) and f.value.id == "os"):
+                    found.append((func, child.lineno, "os.replace"))
+            visit(child, name)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+class TestWriteFile:
+    def test_only_write_file_writes(self):
+        # one write path keeps every output atomic
+        writes = {}
+        for path in sorted(Path(pp.__file__).parent.glob("*.py")):
+            for func, line, call in _file_writes(path.read_text(encoding="utf-8")):
+                writes.setdefault((path.name, func), []).append((line, call))
+        assert sorted(writes) == [("preprocess.py", "write_file")], writes
+        assert sorted(call for _, call in writes["preprocess.py", "write_file"]) == [
+            "open", "os.replace"]
+
+    def test_layout_scan_sees_write_modes(self):
+        src = ("def a(p):\n    open(p, 'rb')\n    open(p)\n"
+               "def b(p, m):\n    open(p, 'ab')\n    open(p, mode='r+')\n"
+               "    open(p, m)\n    def c():\n        os.replace(p, p)\n")
+        assert _file_writes(src) == [("b", 5, "open"), ("b", 6, "open"), ("b", 7, "open"),
+                                     ("c", 9, "os.replace")]

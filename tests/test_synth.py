@@ -98,7 +98,7 @@ class TestGenerateClip:
                 synth.ARTIFACT_KINDS, synth.BACKGROUND_STYLES,
                 [synth.ArtifactSpec().region, (0.0, 0.0, 1.0, 1.0)],
                 [(2, 2, 2), (3, 2, 5), (4, 8, 8), (4, 10, 14), (5, 16, 16), (4, 32, 32)],
-                range(1, 6), [0.0, 0.05, 0.25, 0.6, 1.0, 4.0]):
+                range(1, 6), [0.0, 1e-20, 1e-17, 3e-17, 5e-17, 0.05, 0.25, 0.6, 1.0, 4.0]):
             spec = synth.ArtifactSpec(kind=kind, amplitude=amplitude, region=region,
                                       period=period)
             try:

@@ -28,7 +28,7 @@ class TestConstruction:
         assert not t.requires_grad
 
     def test_constant_fill(self):
-        t = T.full((3,), 2.5)
+        t = T.Tensor(np.full((3,), 2.5))
         np.testing.assert_array_equal(t.data, [2.5, 2.5, 2.5])
 
     def test_uniform_deterministic_per_seed(self):

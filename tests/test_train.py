@@ -2,6 +2,7 @@
 loop, and the metric computations."""
 
 import importlib
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -184,6 +185,27 @@ class TestAdamStep:
                 adam_step([p], _grad_map_for([p], [g * scale]), state, cfg)
             runs.append(p.data.copy())
         np.testing.assert_allclose(runs[0], runs[1], atol=1e-12)
+
+    @pytest.mark.parametrize("loss_scale", [1.0, 1024.0])
+    def test_step_copies_no_gradients(self, loss_scale):
+        # traced from before the params exist, so the arrays a step replaces
+        # are counted as freed; the step's peak must stay below one copy of
+        # every gradient
+        tracemalloc.start()
+        try:
+            tensors = M.init_cast_params(M.CastConfig(), 0).all_tensors()
+            rng = np.random.default_rng(0)
+            grads = T.GradientMap((p.node_id, T.Tensor(rng.normal(size=p.shape)))
+                                  for p in tensors)
+            state, cfg = AdamState(), TrainConfig(loss_scale=loss_scale)
+            assert adam_step(tensors, grads, state, cfg)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert adam_step(tensors, grads, state, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(g.data.nbytes for g in grads.values())
 
     def test_shape_mismatch(self):
         p = T.Tensor([1.0, 2.0], requires_grad=True)
