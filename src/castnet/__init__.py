@@ -24,7 +24,6 @@ from .tensor import (
     backward,
     grad_check,
     no_grad,
-    reset_graph,
 )
 from .train import AdamState, TrainConfig, adam_step, bce_with_logits, train
 
@@ -57,7 +56,6 @@ __all__ = [
     "load_checkpoint",
     "no_grad",
     "read_clip",
-    "reset_graph",
     "roc_auc",
     "save_checkpoint",
     "train",

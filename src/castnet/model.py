@@ -259,7 +259,7 @@ def param_count(cfg: CastConfig) -> int:
 
 
 def backbone_stages(frames: Tensor, backbone: list[Conv2dParams]) -> list[Tensor]:
-    """Per-frame conv stages (conv then rectifier, one tape record); one
+    """Per-frame conv stages (conv then rectifier, one op record); one
     output per stage."""
     outs = []
     x = frames
@@ -324,15 +324,15 @@ def cross_attention_fuse(z: Tensor, s_mean: Tensor, fusion: FusionParams,
     xq, xkv = (s_mean, z) if reversed_qkv else (z, s_mean)
     z_hat, attn = nn.attention(xq, xkv, fusion.heads, fusion.out_proj,
                                drop_rate, mode, seed, "fusion_head")
-    attn_avg = T.mean_axis0(attn)
     z_hat = nn.dropout(T.add(z_hat, fusion.out_bias), drop_rate, mode,
                        derive_seed(seed, "fusion_out"))
     if reversed_qkv:
+        attn_avg = T.mean_axis0(attn)
         z_hat = T.matmul(T.transpose(attn_avg), z_hat)
         at = attn_avg.data.swapaxes(-1, -2)
         report = Tensor(at / at.sum(axis=-1, keepdims=True))
     else:
-        report = Tensor(attn_avg.data.copy())
+        report = Tensor(attn.data.mean(axis=0))  # reported only, so not recorded
     fused = nn.layer_norm(T.add(z, z_hat), fusion.ln)
     return fused, report
 

@@ -2,7 +2,7 @@
 attention, dropout, and fan-scaled parameter initialization.
 
 Fused ops (conv2d, pooling, linear, layer_norm, softmax, dropout) register
-their own backward rules on the tape through tensor.apply_op; everything
+their own backward rules through tensor.apply_op; everything
 else is composed from tensor primitives. conv2d can apply its ReLU inside
 the same record; its backward reuses scratch memory kept per thread, so
 concurrent callers never share it. Dropout masks come from a counter-based
@@ -81,7 +81,7 @@ def _tap_span(offset: int, stride: int, pad: int, size: int, out_size: int):
 def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
     """2-D convolution (cross-correlation) over (..., C, H, W); each index of
     the leading axes is one image, and (C, H, W) is the case with none.
-    relu=True rectifies the output inside the same tape record, exactly as
+    relu=True rectifies the output inside the same op record, exactly as
     T.relu on the result would.
 
     H_out = floor((H + 2*pad - kh)/stride) + 1, likewise for W. Padding is
@@ -206,7 +206,7 @@ def avg_pool2d(x: Tensor, k: int) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map of the last axis as one tape record, x @ weight^T + bias:
+    """Affine map of the last axis as one op record, x @ weight^T + bias:
     (..., c), (d, c), (d,) -> (..., d).
 
     x multiplies a contiguous copy of weight^T, which is what a transpose

@@ -123,9 +123,14 @@ def write_file(path, data: bytes) -> None:
     a torn one. Every file castnet writes goes through here."""
     path = os.fspath(path)
     tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
+    f = open(tmp, "wb")
+    try:
+        with f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:  # a failed or interrupted write leaves no temp file
+        os.remove(tmp)
+        raise
 
 
 def to_tsv(rows) -> bytes:

@@ -1,12 +1,11 @@
-"""Dense tensors with tape-based reverse-mode automatic differentiation.
+"""Dense tensors with define-by-run reverse-mode automatic differentiation.
 
-Every forward operation that touches a gradient-requiring tensor appends an
-op record to the active tape, a plain list of records in execution order.
-backward() replays the tape in reverse and returns the gradient of every
-tensor the walk reaches that no record on the tape produced: the leaves. It
-keeps nothing between calls. The tape is meant to live for one
-forward/backward cycle (one training batch) and be discarded via
-reset_graph() after the optimizer step.
+Every forward operation that touches a gradient-requiring tensor links its
+output to an op record, which links to the records of the op's inputs. A
+graph is freed with the last tensor that links to it, so no caller clears
+it. backward(loss) replays the records the loss reaches and returns the
+gradient of every leaf the walk reaches. Grad mode and debug NaN checks are
+context-local, so threads may train at once.
 
 Gradient arrays are combined out-of-place during the backward walk, so op
 backward closures are free to return views of saved arrays.
@@ -14,9 +13,11 @@ backward closures are free to return views of saved arrays.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from contextlib import contextmanager
-from typing import Callable, Optional, Sequence
+from contextvars import ContextVar
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,27 +32,22 @@ from .errors import (
 
 DEFAULT_DTYPE = np.float64
 
-_next_node_id = 0
-_grad_enabled = True
-_debug_nan_checks = False
-
-
-def _new_node_id() -> int:
-    global _next_node_id
-    _next_node_id += 1
-    return _next_node_id
+_node_ids = itertools.count(1)
+_grad_enabled: ContextVar[bool] = ContextVar("castnet_grad_enabled", default=True)
+_debug_nan_checks: ContextVar[bool] = ContextVar("castnet_debug_nan_checks", default=False)
 
 
 class Tensor:
-    """A dense n-dimensional float array, optionally on the gradient tape.
+    """A dense n-dimensional float array, optionally in a gradient graph.
 
     data is a contiguous numpy array (float64 by default, float32 mode
-    available). A tensor created with requires_grad=True, and every op
-    output recorded on the tape, gets a node_id that stays stable for the
-    tensor's lifetime, which lets optimizer state survive tape resets.
+    available). A tensor created with requires_grad=True, and every recorded
+    op output, gets a node_id that stays stable for the tensor's lifetime,
+    which lets optimizer state outlive graphs. record links a recorded op
+    output to its graph.
     """
 
-    __slots__ = ("data", "requires_grad", "node_id")
+    __slots__ = ("data", "requires_grad", "node_id", "record")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
@@ -59,7 +55,8 @@ class Tensor:
             arr = arr.reshape(1)
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
-        self.node_id: Optional[int] = _new_node_id() if requires_grad else None
+        self.node_id: Optional[int] = next(_node_ids) if requires_grad else None
+        self.record: Optional[_OpRecord] = None
 
     @property
     def shape(self) -> tuple:
@@ -86,18 +83,18 @@ class Tensor:
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
 
 
-class _OpRecord:
-    __slots__ = ("op", "out_id", "input_ids", "backward_fn")
-
-    def __init__(self, op, out_id, input_ids, backward_fn):
-        self.op = op
-        self.out_id = out_id
-        self.input_ids = input_ids
-        self.backward_fn = backward_fn
+class _OpRecord(NamedTuple):
+    """One recorded op: its inputs' node ids and records, never their Tensors."""
+    op: str
+    out_id: int
+    input_ids: tuple
+    input_records: tuple
+    backward_fn: Callable[[np.ndarray], tuple]
 
 
 class GradientMap(dict):
-    """Mapping node_id -> gradient Tensor with the same shape as its leaf."""
+    """Mapping node_id -> gradient Tensor with the same shape as its leaf;
+    it holds no record, so it keeps no graph alive."""
 
     def of(self, param: Tensor) -> Tensor:
         """param's gradient as a fresh array in param's dtype; zeros when
@@ -107,55 +104,43 @@ class GradientMap(dict):
         return Tensor(data, dtype=param.dtype)
 
 
-_tape: list[_OpRecord] = []
-
-
-def reset_graph() -> None:
-    """Discard the current tape; call between optimizer steps."""
-    global _tape
-    _tape = []
-
-
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the context (evaluation mode)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable recording in this context (evaluation mode)."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 def is_grad_enabled() -> bool:
-    return _grad_enabled
+    return _grad_enabled.get()
 
 
 def set_debug_nan_checks(enabled: bool) -> None:
-    """Check every op output for NaN/Inf (slow; for debugging)."""
-    global _debug_nan_checks
-    _debug_nan_checks = bool(enabled)
+    """Check every op output for NaN/Inf in this context (slow; debugging)."""
+    _debug_nan_checks.set(bool(enabled))
 
 
 def is_recording(inputs: Sequence[Tensor]) -> bool:
-    """Whether an op over these inputs goes on the tape: recording is on
-    and some input requires a gradient. A fused op asks before building
-    state that only its backward reads."""
-    return _grad_enabled and any(t.requires_grad for t in inputs)
+    """Whether an op over these inputs is recorded: recording is on and
+    some input requires a gradient. A fused op asks before building state
+    that only its backward reads."""
+    return _grad_enabled.get() and any(t.requires_grad for t in inputs)
 
 
 def check_finite(op: str, out_data: np.ndarray) -> None:
     """With debug NaN checks on, raise NumericalFailure if op's output is not
     all finite. apply_op calls it; a fused op also calls it on an
     intermediate it would otherwise hide, such as the input of its ReLU."""
-    if _debug_nan_checks and not np.all(np.isfinite(out_data)):
+    if _debug_nan_checks.get() and not np.all(np.isfinite(out_data)):
         raise NumericalFailure(f"non-finite output from op '{op}'")
 
 
 def apply_op(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
              backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
-    """Wrap a computed array as a Tensor and record it on the tape.
+    """Wrap a computed array as a Tensor; when recording, link it to a record.
 
     backward_fn(gout) must return one gradient array (or None) per input,
     in order. Used by this module's ops and by fused ops in nn.
@@ -163,28 +148,39 @@ def apply_op(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
     check_finite(op, out_data)
     out = Tensor.__new__(Tensor)
     out.data = out_data
-    out.requires_grad = False
-    out.node_id = None
-    if is_recording(inputs):
-        out.requires_grad = True
-        out.node_id = _new_node_id()
-        _tape.append(_OpRecord(op, out.node_id, tuple(t.node_id for t in inputs),
-                               backward_fn))
+    out.requires_grad = is_recording(inputs)
+    out.node_id = out.record = None
+    if out.requires_grad:
+        out.node_id = next(_node_ids)
+        out.record = _OpRecord(op, out.node_id, tuple(t.node_id for t in inputs),
+                               tuple(t.record for t in inputs), backward_fn)
     return out
 
 
+def _reachable(loss: Tensor) -> dict[int, _OpRecord]:
+    """out_id -> record for every record the loss links to."""
+    found, todo = {}, [loss.record]
+    while todo:
+        rec = todo.pop()
+        if rec is not None and rec.out_id not in found:
+            found[rec.out_id] = rec
+            todo.extend(rec.input_records)
+    return found
+
+
 def backward(loss: Tensor) -> GradientMap:
-    """d(loss)/d(leaf) for every leaf of the active tape that the loss
-    reaches; read them through GradientMap.of, which gives zeros for the
-    rest. Each call walks the tape afresh and accumulates nothing.
+    """d(loss)/d(leaf) for every leaf that the loss reaches; read them
+    through GradientMap.of, which gives zeros for the rest. Replays the
+    records the loss reaches, newest first, and accumulates nothing between
+    calls. The graph lives until its last tensor, the loss too, is dropped.
     """
     if loss.size != 1:
         raise NotScalar(f"loss must be scalar, got shape {loss.shape}")
     pending: dict[int, np.ndarray] = {}
     if loss.node_id is not None:
         pending[loss.node_id] = np.ones_like(loss.data)
-    for rec in reversed(_tape):
-        gout = pending.pop(rec.out_id, None)
+    for out_id, rec in sorted(_reachable(loss).items(), reverse=True):
+        gout = pending.pop(out_id, None)
         if gout is None:
             continue
         grads_in = rec.backward_fn(gout)
@@ -434,7 +430,7 @@ def repeat_rows(v: Tensor, n: int) -> Tensor:
 
 def grad_check(builder: Callable[[], Tensor], params: Sequence[Tensor],
                eps: float = 1e-5) -> float:
-    """Compare tape gradients against central finite differences.
+    """Compare backward gradients against central finite differences.
 
     builder must rebuild the scalar loss from the current parameter values
     on every call. Returns the max over all parameter entries of
@@ -443,13 +439,12 @@ def grad_check(builder: Callable[[], Tensor], params: Sequence[Tensor],
     if not (0.0 < eps <= 1e-2):
         raise ValueError(f"eps must be in (0, 1e-2], got {eps}")
     params = list(params)
-    reset_graph()
     loss = builder()
     if not np.all(np.isfinite(loss.data)):
         raise NumericalFailure("loss is non-finite at the evaluation point")
     gmap = backward(loss)
     analytic = [gmap.of(p).data.reshape(-1) for p in params]
-    reset_graph()
+    del loss, gmap  # frees the graph before the perturbed rebuilds
 
     max_err = 0.0
     with no_grad():

@@ -47,7 +47,7 @@ def bce_with_logits(logit: Union[Tensor, float], y):
     """Binary cross-entropy from the raw logit: softplus(-z) + (1-y)*z.
 
     Stable for |z| up to at least 1e4. Tensor input joins the gradient
-    tape and returns a Tensor of per-logit losses; y is then one label or
+    graph and returns a Tensor of per-logit losses; y is then one label or
     one label per logit. Plain numbers return a float.
     """
     labels = np.asarray(y, dtype=np.float64)
@@ -184,26 +184,26 @@ def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
     best_val = np.inf
     best_epoch = -1
 
+    # one batch's step; its graph, which holds its clips' frames, is freed on return
+    def train_step(batch, epoch: int, step: int) -> tuple[float, bool]:
+        seeds = [derive_seed(cfg.seed, "drop", epoch, step, j) for j in range(len(batch))]
+        out = M.forward([read_clip(path) for path, _ in batch], params, model_cfg,
+                        mode="train", seed=seeds)
+        losses = bce_with_logits(out.clip_logit, [label for _, label in batch])
+        batch_loss = T.scale(T.sum_all(losses), 1.0 / len(batch))
+        scaled = (T.scale(batch_loss, cfg.loss_scale)
+                  if cfg.loss_scale != 1.0 else batch_loss)
+        # no name keeps the gradients, so they are freed after the update
+        applied = adam_step(tensors, T.backward(scaled), state, cfg)
+        return batch_loss.item(), applied
+
     for epoch in range(1, cfg.max_epochs + 1):
         rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "shuffle", epoch)))
         order = rng.permutation(len(train_rows))
-        batch_losses = []
-        applied = 0
-        for step in range(0, len(order), cfg.batch_size):
-            batch = [train_rows[i] for i in order[step:step + cfg.batch_size]]
-            T.reset_graph()  # the last step's tape holds its clips' frames
-            seeds = [derive_seed(cfg.seed, "drop", epoch, step, j) for j in range(len(batch))]
-            # no name keeps the clips, so they are freed before the next batch is read
-            out = M.forward([read_clip(path) for path, _ in batch], params, model_cfg,
-                            mode="train", seed=seeds)
-            losses = bce_with_logits(out.clip_logit, [label for _, label in batch])
-            batch_loss = T.scale(T.sum_all(losses), 1.0 / len(batch))
-            scaled = (T.scale(batch_loss, cfg.loss_scale)
-                      if cfg.loss_scale != 1.0 else batch_loss)
-            # no name keeps the gradients, so they are freed after the update
-            applied += adam_step(tensors, T.backward(scaled), state, cfg)
-            batch_losses.append(batch_loss.item())
-        T.reset_graph()
+        steps = [train_step([train_rows[i] for i in order[at:at + cfg.batch_size]], epoch, at)
+                 for at in range(0, len(order), cfg.batch_size)]
+        batch_losses = [loss for loss, _ in steps]
+        applied = sum(ok for _, ok in steps)
 
         if not any(np.isfinite(v) for v in batch_losses):
             raise DivergenceError(f"epoch {epoch}: every batch loss was non-finite")

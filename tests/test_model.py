@@ -3,6 +3,7 @@ variants, classification linearity, and checkpoint round trips."""
 
 import hashlib
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,13 +16,6 @@ from castnet import tensor as T
 from castnet.errors import CheckpointError, ConfigError, FormatError
 from castnet.preprocess import FrameClip
 from castnet.train import bce_with_logits
-
-
-@pytest.fixture(autouse=True)
-def fresh_graph():
-    T.reset_graph()
-    yield
-    T.reset_graph()
 
 
 def tiny_cfg(**kw):
@@ -458,13 +452,11 @@ class TestBatchedForward:
 
     @staticmethod
     def _run(cfg, params, clips, mode, seeds):
-        T.reset_graph()
         batch = M.forward(clips, params, cfg, mode=mode, seed=seeds)
         labels = [clip.label for clip in clips]
         grads = T.backward(T.sum_all(bce_with_logits(batch.clip_logit, labels)))
         batched_grads = {k: grads.of(p).data for k, p in params.named_parameters().items()}
         singles = []
-        T.reset_graph()
         loss = None
         for clip, s in zip(clips, seeds):
             out = M.forward(clip, params, cfg, mode=mode, seed=s)
@@ -563,13 +555,14 @@ class TestFloat32:
 
 
 class TestTapeSize:
-    # tape records of one train step; a change that moves a count reports the
-    # new count, and the old one, in CHANGES.md
-    DEFAULT_STEP_RECORDS = 125
+    # op records that one train step's backward walks: those reachable from
+    # the loss; a change that moves a count reports the new count, and the old
+    # one, in CHANGES.md
+    DEFAULT_STEP_RECORDS = 124
     # per variant at the model shape of acceptance 7 (8-frame 32x32 clips)
-    ABLATION_STEP_RECORDS = {"full": 96, "no_cross_attention": 66,
+    ABLATION_STEP_RECORDS = {"full": 95, "no_cross_attention": 66,
                              "decoupled_self_attention": 116, "reversed_qkv": 98,
-                             "multi_scale": 125, "no_projection": 94}
+                             "multi_scale": 124, "no_projection": 93}
 
     @staticmethod
     def _assert_step_records(cfg, pinned):
@@ -578,9 +571,10 @@ class TestTapeSize:
                  for i in range(8)]
         out = M.forward(clips, params, cfg, mode="train", seed=list(range(8)))
         losses = bce_with_logits(out.clip_logit, [c.label for c in clips])
-        T.scale(T.sum_all(losses), 1.0 / len(clips))
-        assert len(T._tape) == pinned, (
-            f"one train step now records {len(T._tape)} tape ops, not {pinned}; if "
+        loss = T.scale(T.sum_all(losses), 1.0 / len(clips))
+        count = len(T._reachable(loss))
+        assert count == pinned, (
+            f"one train step now records {count} ops, not {pinned}; if "
             f"intended, update the pin and report the new count in CHANGES.md")
 
     def test_default_train_step_record_count(self):
@@ -592,6 +586,25 @@ class TestTapeSize:
                            heads=4, ffn_dim=128, fusion_heads=4, clip_len=8,
                            variant=variant)
         self._assert_step_records(cfg, self.ABLATION_STEP_RECORDS[variant])
+
+
+class TestGraphLifetime:
+    def test_dropped_eval_forwards_hold_no_memory(self):
+        # a recorded forward's graph is freed with its last tensor
+        cfg = M.CastConfig()
+        params = M.init_cast_params(cfg, seed=0)
+        clip = synth.generate_clip(0, 1, synth.ArtifactSpec(), cfg.clip_len)
+        held = []
+        tracemalloc.start()
+        try:
+            for _ in range(5):
+                out = M.forward(clip, params, cfg, mode="eval")
+                assert out.clip_logit.requires_grad  # outside no_grad: recorded
+                del out
+                held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert held[-1] - held[0] <= 0.5 * 2 ** 20, held
 
 
 class TestMultiScale:

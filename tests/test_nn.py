@@ -15,13 +15,6 @@ from castnet.errors import ConfigError, InvalidRate, NumericalFailure, ShapeMism
 from castnet.seeding import _GAMMA, _MASK, _splitmix64, derive_seed
 
 
-@pytest.fixture(autouse=True)
-def fresh_graph():
-    T.reset_graph()
-    yield
-    T.reset_graph()
-
-
 def conv2d_oracle(x, kernel, bias, stride, pad):
     """Direct 6-loop convolution over (C,H,W)."""
     out_ch, in_ch, kh, kw = kernel.shape
@@ -143,7 +136,6 @@ class TestConv2d:
         r = T.Tensor(rng.uniform(0.5, 1.5, (2, 4, 4, 4)))
 
         def grads(x):
-            T.reset_graph()
             g = T.backward(T.sum_all(T.mul(nn.conv2d(x, p), r)))
             return g.of(p.kernel).data, g.of(p.bias).data
 
@@ -197,14 +189,17 @@ class TestConv2dBackward:
         r = T.Tensor(rng.uniform(0.5, 1.5, nn.conv2d(x, p).shape))
 
         def run(fused):
-            T.reset_graph()
             out = nn.conv2d(x, p, relu=True) if fused else T.relu(nn.conv2d(x, p))
             g = T.backward(T.sum_all(T.mul(out, r)))
-            return out.data, [g.of(t).data for t in (x, p.kernel, p.bias)]
+            return out, [g.of(t).data for t in (x, p.kernel, p.bias)]
 
-        out_f, (gx_f, gk_f, gb_f) = run(True)
-        out_u, (gx_u, gk_u, gb_u) = run(False)
-        assert len(T._tape) == 4  # conv, relu, mul, sum_all of the unfused run
+        fused, (gx_f, gk_f, gb_f) = run(True)
+        unfused, (gx_u, gk_u, gb_u) = run(False)
+        # one conv record against a relu record over a conv record
+        assert fused.record.op == "conv2d"
+        assert unfused.record.op == "relu"
+        assert [r.op for r in unfused.record.input_records] == ["conv2d"]
+        out_f, out_u = fused.data, unfused.data
         assert 0 < np.count_nonzero(out_f) < out_f.size
         np.testing.assert_array_equal(out_f, out_u)
         np.testing.assert_array_equal(gx_f, gx_u)
@@ -340,7 +335,6 @@ class TestLinear:
         r = T.Tensor(np.random.default_rng(44).uniform(0.5, 1.5, x_shape[:-1] + (d,)))
 
         def run(affine):
-            T.reset_graph()
             out = affine(x, w, b)
             grads = T.backward(T.sum_all(T.mul(out, r)))
             return [out.data] + [grads.of(t).data for t in (x, w, b)]
@@ -478,7 +472,6 @@ class TestLeadingAxes:
 
     @staticmethod
     def _grads(op, x, params, r):
-        T.reset_graph()
         out = op(x)
         grads = T.backward(T.sum_all(T.mul(out, T.Tensor(r))))
         return out.data, grads.of(x).data, [grads.of(p).data for p in params]
@@ -511,7 +504,9 @@ class TestLeadingAxes:
         op, _ = self._ops(rng)[name]
         x = T.Tensor(rng.uniform(-1, 1, (2, 3, 6, 8)), requires_grad=True)
         out = op(x)
-        assert len(T._tape) == 1 and out.requires_grad
+        # one record, over leaf inputs only
+        assert out.record.op == name
+        assert all(r is None for r in out.record.input_records)
         alive = weakref.ref(x.data)
         del x
         gc.collect()
@@ -533,7 +528,7 @@ def _attention_heads(w):
 
 
 # name -> (input shapes, the op over inputs of those shapes); pointwise_project
-# and mhsa compose tape ops, whose records must not keep the inputs either
+# and mhsa compose recorded ops, whose records must not keep the inputs either
 RECORDED_OPS = {
     "matmul_shared": ([(2, 3, 4), (4, 5)], T.matmul),
     "matmul_batched": ([(2, 3, 4), (2, 4, 5)], T.matmul),
@@ -580,12 +575,12 @@ class TestRecordsKeepNoInputTensor:
         shapes, op = RECORDED_OPS[name]
         inputs = [_leaf(shape, seed) for seed, shape in enumerate(shapes)]
         out = op(*inputs)
-        assert out.requires_grad and T._tape
+        assert out.requires_grad and out.record is not None
         refs = [weakref.ref(t) for t in inputs]
         del inputs
         gc.collect()
         assert [r() is None for r in refs] == [True] * len(refs)
-        grads = T.backward(T.sum_all(out))  # the tape still replays without them
+        grads = T.backward(T.sum_all(out))  # the graph still replays without them
         assert all(np.all(np.isfinite(g.data)) for g in grads.values())
 
     def test_every_op_is_covered(self, monkeypatch):
@@ -927,7 +922,6 @@ class TestAttention:
 
     @staticmethod
     def _run(fn, xq, xkv, p, drop_rate, mode, seed, r_out, r_attn):
-        T.reset_graph()
         out, attn = fn(xq, xkv, p.heads, p.out_proj, drop_rate, mode, seed, "tag")
         if fn is nn.attention:
             assert attn.shape[0] == len(p.heads)

@@ -1,5 +1,8 @@
 """Tensor construction, op semantics, reverse-mode gradients, serialization."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,13 +15,6 @@ from castnet.errors import (
     NumericalFailure,
     ShapeMismatch,
 )
-
-
-@pytest.fixture(autouse=True)
-def fresh_graph():
-    T.reset_graph()
-    yield
-    T.reset_graph()
 
 
 class TestConstruction:
@@ -341,6 +337,30 @@ class TestDebugChecks:
                 T.exp(T.Tensor([1e4]))
         finally:
             T.set_debug_nan_checks(False)
+
+
+def _global_statements(source: str) -> list[tuple[int, list[str]]]:
+    """(line, names) of each global statement in a module's source."""
+    return sorted((node.lineno, node.names) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Global))
+
+
+class TestModuleState:
+    def test_no_global_statement(self):
+        # state a caller changes lives in its context, so callers in
+        # different threads never see each other's
+        found = {}
+        for path in sorted(Path(T.__file__).parent.glob("*.py")):
+            stmts = _global_statements(path.read_text(encoding="utf-8"))
+            if stmts:
+                found[path.name] = stmts
+        assert found == {}
+
+    def test_layout_scan_sees_nested_globals(self):
+        src = ("x = 0\ndef f():\n    global x\n    x = 1\n"
+               "    def g():\n        global y, z\n"
+               "class C:\n    def m(self):\n        global x\n")
+        assert _global_statements(src) == [(3, ["x"]), (6, ["y", "z"]), (9, ["x"])]
 
 
 class TestSerialization:

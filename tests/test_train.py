@@ -2,8 +2,11 @@
 loop, and the metric computations."""
 
 import importlib
+import sys
+import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -59,13 +62,6 @@ def mixed_sizes(tmp_path_factory):
             "train_manifest": small.manifest_path}
 
 
-@pytest.fixture(autouse=True)
-def fresh_graph():
-    T.reset_graph()
-    yield
-    T.reset_graph()
-
-
 class TestBceWithLogits:
     def test_symmetry_point(self):
         assert abs(bce_with_logits(0.0, 1) - np.log(2.0)) < 1e-12
@@ -102,7 +98,6 @@ class TestBceWithLogits:
 
     def test_tensor_path_gradient_is_sigmoid_minus_label(self):
         for z0, y in ((0.7, 1), (-1.3, 0), (2.0, 1)):
-            T.reset_graph()
             z = T.Tensor([z0], requires_grad=True)
             grads = T.backward(bce_with_logits(z, y))
             expected = 1.0 / (1.0 + np.exp(-z0)) - y
@@ -438,6 +433,35 @@ class TestTrainLoop:
         for name in results[0]:
             np.testing.assert_allclose(results[0][name].data, results[1][name].data,
                                        atol=1e-9, err_msg=name)
+
+
+class TestConcurrentTraining:
+    def test_threads_match_sequential_runs(self, tiny_dataset, tmp_path):
+        # each run's graphs and grad mode are its own, so runs may overlap;
+        # more threads than cores, switching often
+        seeds = (0, 1, 2)
+        start = threading.Barrier(len(seeds), timeout=60)
+
+        def run(seed, out, wait=False):
+            if wait:
+                start.wait()
+            cfg = TrainConfig(max_epochs=3, batch_size=2, seed=seed)
+            res = train(tiny_dataset["model_cfg"], tiny_dataset["manifest"],
+                        tiny_dataset["manifest"], cfg, tmp_path / out)
+            return res.params.named_parameters()
+
+        want = [run(seed, f"seq{seed}") for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+                futures = [pool.submit(run, seed, f"par{seed}", True) for seed in seeds]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for w, g in zip(want, got):
+            for name in w:
+                np.testing.assert_array_equal(g[name].data, w[name].data, err_msg=name)
 
 
 class TestWriteReport:
