@@ -9,7 +9,10 @@ concurrent callers never share it. Dropout masks come from a counter-based
 stream (seeding.counter_uniforms), one per seed. Leading axes are batch axes
 throughout: the map ops take (..., C, H, W) and the row ops (..., d). A
 backward rule keeps the shapes and arrays it needs, never an input Tensor,
-so a recorded op does not keep its input alive.
+so a recorded op does not keep its input alive. A conv over an input that
+needs a gradient keeps its column matrix; over one that needs none (the
+clip frames at the first backbone stage) it keeps that input's array, which
+the caller holds anyway, and rebuilds the columns in backward.
 """
 
 from __future__ import annotations
@@ -78,6 +81,22 @@ def _tap_span(offset: int, stride: int, pad: int, size: int, out_size: int):
     return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
 
 
+def _im2col(xd: np.ndarray, row_spans: list, col_spans: list, h_out: int,
+            w_out: int) -> np.ndarray:
+    """The column matrix (n, c*kh*kw, h_out*w_out) of images (n, c, h, w):
+    each kernel tap copies the input it reads from inside the image into a
+    zeroed (n, c, kh, kw, h_out, w_out) buffer, so padding is never
+    materialised."""
+    n, c = xd.shape[:2]
+    kh, kw = len(row_spans), len(col_spans)
+    cols = np.zeros((n, c, kh, kw, h_out, w_out), dtype=xd.dtype)
+    for i, rs in enumerate(row_spans):
+        for j, cs in enumerate(col_spans):
+            if rs is not None and cs is not None:
+                cols[:, :, i, j, rs[0], cs[0]] = xd[:, :, rs[1], cs[1]]
+    return cols.reshape(n, c * kh * kw, h_out * w_out)
+
+
 def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
     """2-D convolution (cross-correlation) over (..., C, H, W); each index of
     the leading axes is one image, and (C, H, W) is the case with none.
@@ -86,10 +105,14 @@ def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
 
     H_out = floor((H + 2*pad - kh)/stride) + 1, likewise for W. Padding is
     never materialised in the forward: each kernel tap copies only the input
-    it reads from inside the image into a zeroed column buffer. The backward
-    writes the column gradient into a per-thread scratch buffer and folds it
-    onto a padded input gradient with one bincount, which adds each site's
-    taps in the same order as a loop over the taps would.
+    it reads from inside the image into a zeroed column buffer. A recorded
+    conv keeps that buffer for its kernel gradient only when x needs a
+    gradient. Otherwise, as for the clip frames at backbone stage 0, it keeps
+    x's array and rebuilds the columns in backward with the same tap loop, so
+    they are bitwise the forward's; at 3x3 stride 2 the buffer is 2.25x the
+    input. The backward writes the column gradient into a per-thread scratch
+    buffer and folds it onto a padded input gradient with one bincount, which
+    adds each site's taps in the same order as a loop over the taps would.
     """
     if x.ndim < 3:
         raise ShapeMismatch(f"conv2d expects (..., C, H, W), got {x.shape}")
@@ -105,16 +128,9 @@ def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
     w_out = (wp - kw) // s + 1
     xd = x.data.reshape(-1, c, h, w)
     n = xd.shape[0]
-
-    # im2col: (n, c, kh, kw, h_out, w_out) -> (n, c*kh*kw, h_out*w_out)
-    cols = np.zeros((n, c, kh, kw, h_out, w_out), dtype=xd.dtype)
     row_spans = [_tap_span(i, s, pad, h, h_out) for i in range(kh)]
     col_spans = [_tap_span(j, s, pad, w, w_out) for j in range(kw)]
-    for i, rs in enumerate(row_spans):
-        for j, cs in enumerate(col_spans):
-            if rs is not None and cs is not None:
-                cols[:, :, i, j, rs[0], cs[0]] = xd[:, :, rs[1], cs[1]]
-    cols = cols.reshape(n, c * kh * kw, h_out * w_out)
+    cols = _im2col(xd, row_spans, col_spans, h_out, w_out)
     kshape = p.kernel.shape
     kmat = p.kernel.data.reshape(out_ch, -1)
     out = np.matmul(kmat, cols).reshape(lead + (out_ch, h_out, w_out))
@@ -128,18 +144,26 @@ def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
         np.fmax(out, 0.0, out=out)  # as T.relu: NaN -> 0, -0.0 -> +0.0
 
     need_gx = x.requires_grad
+    # each closure captures only what its case reads
+    if need_gx:
+        def columns():
+            return cols
+    else:  # e.g. the clip frames at stage 0: keep the input, not its columns
+        def columns():
+            return _im2col(xd, row_spans, col_spans, h_out, w_out)
 
     def bwd(g):
         if mask is not None:
             g = g * mask
         gm = g.reshape(n, out_ch, h_out * w_out)
         gbias = gm.sum(axis=(0, 2))
+        cm = columns()
         if h_out * w_out >= _BATCHED_KGRAD_SITES:
-            gkernel = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
+            gkernel = np.matmul(gm, cm.transpose(0, 2, 1)).sum(axis=0)
         else:
-            gkernel = np.tensordot(gm, cols, axes=([0, 2], [0, 2]))
+            gkernel = np.tensordot(gm, cm, axes=([0, 2], [0, 2]))
         gkernel = gkernel.reshape(kshape)
-        if not need_gx:  # e.g. the clip frames at stage 0
+        if not need_gx:
             return None, gkernel, gbias
         kt = kmat.T
         gcols = _scratch((n, c * kh * kw, h_out * w_out), np.result_type(kt, gm))

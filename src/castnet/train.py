@@ -109,16 +109,25 @@ def adam_step(params: Sequence[Tensor], grads: GradientMap, state: AdamState,
         g = unscale(gd)
         if cfg.weight_decay:
             g = g + cfg.weight_decay * p.data
-        prev = state.moments.get(p.node_id)
-        if prev is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        else:
-            m, v = prev
-        m = BETA1 * m + (1.0 - BETA1) * g
-        v = BETA2 * v + (1.0 - BETA2) * (g * g)
-        state.moments[p.node_id] = (m, v)
-        p.data = p.data - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        if p.node_id not in state.moments:
+            state.moments[p.node_id] = (np.zeros_like(p.data), np.zeros_like(p.data))
+        m, v = state.moments[p.node_id]
+        # in place, with the operands of m = b1*m + (1-b1)*g and
+        # p - lr*(m/bc1) / (sqrt(v/bc2) + eps) in the same order, so bit-equal;
+        # g may be the map's own array and is only read
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        gg = g * g
+        gg *= 1.0 - BETA2
+        v *= BETA2
+        v += gg
+        step = m / bc1
+        step *= cfg.lr
+        den = v / bc2
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        step /= den
+        p.data = p.data - step
     return True
 
 

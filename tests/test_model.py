@@ -491,6 +491,31 @@ class TestBatchedForward:
             scale = max(1.0, float(np.abs(g).max()))
             assert np.abs(bg[name] - g).max() <= 1e-10 * scale, name
 
+    def test_default_backbone_matches_isolated_single_clips(self):
+        # each single-clip graph is freed before the next forward, so state
+        # that recorded convs wrongly share cannot spoil both sides alike
+        cfg = M.CastConfig()
+        params = M.init_cast_params(cfg, seed=0)
+        named = params.named_parameters()
+        clips = [synth.generate_clip(i, i % 2, synth.ArtifactSpec(), cfg.clip_len)
+                 for i in range(4)]
+        seeds = [11, 12, 13, 14]
+        assert clips[0].frames.shape == (16, 3, 32, 32) and len(cfg.backbone_channels) == 3
+        out = M.forward(clips, params, cfg, mode="train", seed=seeds)
+        grads = T.backward(T.sum_all(bce_with_logits(out.clip_logit, [c.label for c in clips])))
+        batched = {k: grads.of(p).data for k, p in named.items()}
+        summed = {k: np.zeros_like(g) for k, g in batched.items()}
+        del out, grads
+        for clip, s in zip(clips, seeds):
+            out = M.forward(clip, params, cfg, mode="train", seed=s)
+            grads = T.backward(bce_with_logits(out.clip_logit, clip.label))
+            for k, p in named.items():
+                summed[k] += grads.of(p).data
+            del out, grads
+        for k, g in summed.items():  # atol: entries that cancel across clips
+            np.testing.assert_allclose(batched[k], g, rtol=1e-12,
+                                       atol=1e-12 * np.abs(g).max(), err_msg=k)
+
     def test_train_mode_masks_follow_each_clips_seed(self):
         cfg = tiny_cfg()
         params = M.init_cast_params(cfg, seed=72)
@@ -564,21 +589,49 @@ class TestTapeSize:
                              "decoupled_self_attention": 116, "reversed_qkv": 98,
                              "multi_scale": 124, "no_projection": 93}
 
+    # traced bytes that the default step's graph holds once its loss is built,
+    # the clips built before tracing starts; the same rule as the counts. The
+    # slack covers interpreter state, not an array: the smallest conv record's
+    # columns are 0.6 MB
+    DEFAULT_STEP_GRAPH_BYTES = 18_870_000
+    GRAPH_BYTES_SLACK = 250_000
+
     @staticmethod
-    def _assert_step_records(cfg, pinned):
+    def _step_inputs(cfg):
         params = M.init_cast_params(cfg, seed=0)
         clips = [synth.generate_clip(i, i % 2, synth.ArtifactSpec(), cfg.clip_len)
                  for i in range(8)]
+        return params, clips
+
+    @staticmethod
+    def _step_loss(cfg, params, clips):
         out = M.forward(clips, params, cfg, mode="train", seed=list(range(8)))
         losses = bce_with_logits(out.clip_logit, [c.label for c in clips])
-        loss = T.scale(T.sum_all(losses), 1.0 / len(clips))
-        count = len(T._reachable(loss))
+        return T.scale(T.sum_all(losses), 1.0 / len(clips))
+
+    def _assert_step_records(self, cfg, pinned):
+        count = len(T._reachable(self._step_loss(cfg, *self._step_inputs(cfg))))
         assert count == pinned, (
             f"one train step now records {count} ops, not {pinned}; if "
             f"intended, update the pin and report the new count in CHANGES.md")
 
     def test_default_train_step_record_count(self):
         self._assert_step_records(M.CastConfig(), self.DEFAULT_STEP_RECORDS)
+
+    def test_default_train_step_graph_bytes(self):
+        cfg = M.CastConfig()
+        params, clips = self._step_inputs(cfg)
+        tracemalloc.start()
+        try:
+            loss = self._step_loss(cfg, params, clips)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert loss.record is not None
+        pinned = self.DEFAULT_STEP_GRAPH_BYTES
+        assert abs(held - pinned) <= self.GRAPH_BYTES_SLACK, (
+            f"one train step's graph now holds {held} bytes, not about {pinned}; if "
+            f"intended, update the pin and report both values in CHANGES.md")
 
     @pytest.mark.parametrize("variant", M.VARIANTS)
     def test_ablation_shape_record_count(self, variant):

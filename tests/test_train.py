@@ -26,6 +26,8 @@ from castnet.errors import (
 )
 from castnet.train import (
     ADAM_EPS,
+    BETA1,
+    BETA2,
     AdamState,
     TrainConfig,
     adam_step,
@@ -180,6 +182,41 @@ class TestAdamStep:
                 adam_step([p], _grad_map_for([p], [g * scale]), state, cfg)
             runs.append(p.data.copy())
         np.testing.assert_allclose(runs[0], runs[1], atol=1e-12)
+
+    @pytest.mark.parametrize("loss_scale", [1.0, 1024.0])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-5])
+    def test_matches_out_of_place_formula_bitwise(self, loss_scale, weight_decay):
+        # the update written as plain expressions, one new array per term; the
+        # last parameter never gets a gradient, and the map is left as it was
+        rng = np.random.default_rng(11)
+        shapes = [(3, 4), (5,), (2, 3)]
+        params = [T.Tensor(rng.normal(size=sh), requires_grad=True) for sh in shapes]
+        want_p = [p.data.copy() for p in params]
+        want_m = [np.zeros(sh) for sh in shapes]
+        want_v = [np.zeros(sh) for sh in shapes]
+        state = AdamState()
+        cfg = TrainConfig(lr=1e-3, loss_scale=loss_scale, weight_decay=weight_decay)
+        for t in range(1, 7):
+            arrays = [rng.normal(size=sh) * loss_scale for sh in shapes[:-1]]
+            grads = _grad_map_for(params[:-1], arrays)
+            sent = [a.copy() for a in arrays]
+            assert adam_step(params, grads, state, cfg)
+            for p, a in zip(params, sent):
+                np.testing.assert_array_equal(grads.of(p).data, a)
+            bc1, bc2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
+            for k, sh in enumerate(shapes):
+                g = sent[k] * (1.0 / loss_scale) if k < len(sent) else np.zeros(sh)
+                if weight_decay:
+                    g = g + weight_decay * want_p[k]
+                want_m[k] = BETA1 * want_m[k] + (1.0 - BETA1) * g
+                want_v[k] = BETA2 * want_v[k] + (1.0 - BETA2) * (g * g)
+                want_p[k] = want_p[k] - cfg.lr * (want_m[k] / bc1) / (
+                    np.sqrt(want_v[k] / bc2) + ADAM_EPS)
+        for p, wp, wm, wv in zip(params, want_p, want_m, want_v):
+            m, v = state.moments[p.node_id]
+            np.testing.assert_array_equal(p.data, wp)
+            np.testing.assert_array_equal(m, wm)
+            np.testing.assert_array_equal(v, wv)
 
     @pytest.mark.parametrize("loss_scale", [1.0, 1024.0])
     def test_step_copies_no_gradients(self, loss_scale):
