@@ -21,23 +21,16 @@ EVAL_BATCH = 8
 def accuracy(scores, labels) -> tuple[int, int, int, int, float]:
     """Confusion counts and accuracy at the fixed 0.5 threshold; a score of
     exactly 0.5 classifies positive (fake)."""
-    scores = list(scores)
-    labels = list(labels)
-    if not scores:
+    scores = np.asarray(list(scores), dtype=np.float64)
+    labels = np.asarray(list(labels))
+    if scores.size == 0:
         raise EmptyEval("no scores to evaluate")
     if len(scores) != len(labels):
         raise ShapeMismatch(f"{len(scores)} scores for {len(labels)} labels")
-    tp = tn = fp = fn = 0
-    for s, y in zip(scores, labels):
-        predicted_fake = s >= 0.5
-        if y == 1:
-            tp += predicted_fake
-            fn += not predicted_fake
-        else:
-            fp += predicted_fake
-            tn += not predicted_fake
-    acc = (tp + tn) / len(scores)
-    return tp, tn, fp, fn, acc
+    fake, pos = scores >= 0.5, labels == 1
+    tp, fn = int(np.sum(fake & pos)), int(np.sum(~fake & pos))
+    fp, tn = int(np.sum(fake & ~pos)), int(np.sum(~fake & ~pos))
+    return tp, tn, fp, fn, (tp + tn) / len(scores)
 
 
 def roc_auc(scores, labels) -> tuple[list[tuple[float, float]], float]:
@@ -58,26 +51,16 @@ def roc_auc(scores, labels) -> tuple[list[tuple[float, float]], float]:
         raise DegenerateEval("need at least one positive and one negative")
 
     order = np.argsort(-scores, kind="stable")
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    area2 = 0  # twice the area, in integer count units
-    i = 0
-    while i < len(order):
-        j = i
-        p_here = n_here = 0
-        while j < len(order) and scores[order[j]] == scores[order[i]]:
-            if labels[order[j]] == 1:
-                p_here += 1
-            else:
-                n_here += 1
-            j += 1
-        area2 += n_here * (2 * tp + p_here)
-        tp += p_here
-        fp += n_here
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
-    auc = area2 / (2 * n_pos * n_neg)
-    return points, auc
+    ranked = scores[order]
+    # one curve point per distinct score, after the last clip of its ties;
+    # tp and fp are integer counts, so every point and the area are exact
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    tp = np.cumsum(labels[order] == 1)[ends]
+    fp = ends + 1 - tp
+    p_here, n_here = np.diff(tp, prepend=0), np.diff(fp, prepend=0)
+    area2 = int(np.sum(n_here * (2 * tp - p_here)))  # twice the area, in count units
+    points = [(0.0, 0.0)] + list(zip((fp / n_neg).tolist(), (tp / n_pos).tolist()))
+    return points, area2 / (2 * n_pos * n_neg)
 
 
 @dataclass

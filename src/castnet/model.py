@@ -22,7 +22,6 @@ the affine projection makes equal to the frame mean of projected tokens.
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
@@ -40,7 +39,8 @@ from .nn import (
 )
 from .preprocess import FrameClip, write_file
 from .seeding import derive_seed
-from .tensor import Tensor, tensor_from_bytes, tensor_to_bytes
+from .tensor import (Tensor, pack_magic, pack_text, read_magic, read_text, tensor_from_bytes,
+                     tensor_to_bytes)
 
 VARIANTS = ("full", "no_cross_attention", "decoupled_self_attention",
             "reversed_qkv", "multi_scale", "no_projection")
@@ -456,13 +456,10 @@ CKPT_VERSION = 1
 
 
 def save_checkpoint(path, cfg: CastConfig, params: CastParams) -> None:
-    cfg_block = kvtext.encode(cfg).encode("utf-8")
-    parts = [CKPT_MAGIC, struct.pack("<H", CKPT_VERSION),
-             struct.pack("<I", len(cfg_block)), cfg_block]
+    parts = [pack_magic(CKPT_MAGIC, CKPT_VERSION),
+             pack_text(kvtext.encode(cfg), "checkpoint config block", "I")]
     for name, tensor in params.named_parameters().items():
-        name_b = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(name_b)))
-        parts.append(name_b)
+        parts.append(pack_text(name, "checkpoint entry name"))
         parts.append(tensor_to_bytes(tensor))
     write_file(path, b"".join(parts))
 
@@ -474,34 +471,18 @@ def load_checkpoint(path) -> tuple[CastConfig, CastParams]:
     raises CheckpointError."""
     with open(path, "rb") as f:
         buf = f.read()
-    if len(buf) < 14 or buf[:8] != CKPT_MAGIC:
-        raise FormatError("bad checkpoint magic")
-    (version,) = struct.unpack_from("<H", buf, 8)
-    if version != CKPT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack_from("<I", buf, 10)
-    off = 14
-    if len(buf) < off + cfg_len:
-        raise FormatError("truncated checkpoint config block")
+    off = read_magic(buf, 0, CKPT_MAGIC, CKPT_VERSION, "checkpoint")
     what = f"checkpoint {os.fspath(path)} config block"
-    cfg = kvtext.decode(CastConfig, kvtext.decode_utf8(buf[off:off + cfg_len], what), what)
+    text, off = read_text(buf, off, what, "I")
+    cfg = kvtext.decode(CastConfig, text, what)
     cfg.validate()
-    off += cfg_len
 
     loaded: dict[str, Tensor] = {}
     while off < len(buf):
-        if len(buf) < off + 2:
-            raise FormatError("truncated checkpoint entry header")
-        (name_len,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        if len(buf) < off + name_len:
-            raise FormatError("truncated checkpoint entry name")
-        name = kvtext.decode_utf8(buf[off:off + name_len], "checkpoint entry name")
-        off += name_len
+        name, off = read_text(buf, off, "checkpoint entry name")
         if name in loaded:
             raise FormatError(f"duplicate checkpoint entry {name!r}")
-        tensor, off = tensor_from_bytes(buf, off)
-        loaded[name] = tensor
+        loaded[name], off = tensor_from_bytes(buf, off)
 
     # the skeleton is as large as the config says; refuse to build one that
     # the weights in the file cannot fill

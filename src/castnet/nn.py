@@ -466,9 +466,9 @@ def init_pointwise(d: int, c: int, seed: int) -> PointwiseProj:
     return PointwiseProj(weight=weight, bias=bias)
 
 
-def init_layer_norm(d: int, eps: float = 1e-5) -> LayerNormParams:
+def init_layer_norm(d: int) -> LayerNormParams:
     return LayerNormParams(gamma=T.ones((d,), requires_grad=True),
-                           beta=T.zeros((d,), requires_grad=True), eps=eps)
+                           beta=T.zeros((d,), requires_grad=True))
 
 
 def init_mhsa(d: int, n_heads: int, drop_rate: float, seed: int) -> MhsaParams:

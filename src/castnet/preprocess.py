@@ -7,7 +7,7 @@ from __future__ import annotations
 import io
 import math
 import os
-import struct
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import EmptyVideo, FormatError, InvalidRate
 from .kvtext import decode_utf8
-from .tensor import (TENSOR_HEADER_MAX, Tensor, tensor_from_bytes, tensor_header,
+from .tensor import (TENSOR_HEADER_MAX, Tensor, pack_magic, pack_struct, pack_text,
+                     read_magic, read_struct, read_text, tensor_from_bytes, tensor_header,
                      tensor_to_bytes)
 
 # ImageNet channel statistics; inputs are real-valued in [0,1] before this.
@@ -34,16 +35,6 @@ SPLITS = ("train", "val", "test")
 # the longest clip header: magic, version, label, the longest source id,
 # the two rates and the longest tensor header
 CLIP_HEADER_MAX = len(CLIP_MAGIC) + 5 + 0xFFFF + 16 + TENSOR_HEADER_MAX
-
-
-@dataclass
-class NormalizationSpec:
-    mean: tuple[float, float, float] = DEFAULT_MEAN
-    std: tuple[float, float, float] = DEFAULT_STD
-
-    def __post_init__(self):
-        if any(s <= 0 for s in self.std):
-            raise InvalidRate(f"std components must be positive, got {self.std}")
 
 
 @dataclass
@@ -120,9 +111,11 @@ def plan_sampling(f_orig: float, r: float, total_frames: int,
 def write_file(path, data: bytes) -> None:
     """Whole-file atomic write: data goes to a temp file beside path, which
     then replaces path, so a reader sees the old file or the new one, never
-    a torn one. Every file castnet writes goes through here."""
+    a torn one. Every file castnet writes goes through here. The temp name
+    holds the writer's process and thread ids, so writers of one path at
+    once do not share it."""
     path = os.fspath(path)
-    tmp = path + ".tmp"
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
     f = open(tmp, "wb")
     try:
         with f:
@@ -139,10 +132,10 @@ def to_tsv(rows) -> bytes:
     return "".join("\t".join(map(str, row)) + "\n" for row in rows).encode("utf-8")
 
 
-def normalize_frame(frame: Tensor, spec: NormalizationSpec = NormalizationSpec()) -> Tensor:
+def normalize_frame(frame: Tensor) -> Tensor:
     """Per-channel (x - mean) / std over (..., 3, H, W) frames in [0,1]."""
-    mean = np.asarray(spec.mean, dtype=frame.data.dtype)[:, None, None]
-    std = np.asarray(spec.std, dtype=frame.data.dtype)[:, None, None]
+    mean = np.asarray(DEFAULT_MEAN, dtype=frame.data.dtype)[:, None, None]
+    std = np.asarray(DEFAULT_STD, dtype=frame.data.dtype)[:, None, None]
     return Tensor((frame.data - mean) / std, dtype=frame.data.dtype)
 
 
@@ -159,43 +152,24 @@ def is_label(value) -> bool:
 
 
 def clip_to_bytes(clip: FrameClip) -> bytes:
-    sid = clip.source_id.encode("utf-8")
-    if len(sid) > 0xFFFF:
-        raise FormatError("source_id too long")
     if clip.label is not None and not is_label(clip.label):
         raise FormatError(f"clip label must be None, 0 or 1, got {clip.label!r}")
     label = -1 if clip.label is None else int(clip.label)
-    head = CLIP_MAGIC + struct.pack("<Hb", CLIP_VERSION, label)
-    head += struct.pack("<H", len(sid)) + sid
-    head += struct.pack("<dd", clip.f_orig, clip.r)
-    return head + tensor_to_bytes(clip.frames)
+    return (pack_magic(CLIP_MAGIC, CLIP_VERSION) + pack_struct("b", label)
+            + pack_text(clip.source_id, "source_id")
+            + pack_struct("dd", clip.f_orig, clip.r) + tensor_to_bytes(clip.frames))
 
 
 def _clip_header(buf: bytes, size: int) -> tuple[dict, int]:
     """Check the header of a size-byte clip stream that buf begins, the
     frames' tensor header and the stream's length included; returns the
     FrameClip fields other than frames, and the offset of the frames."""
-    if len(buf) < 8 or buf[:8] != CLIP_MAGIC:
-        raise FormatError("bad clip magic")
-    off = 8
-    if len(buf) < off + 3:
-        raise FormatError("truncated clip header")
-    version, label = struct.unpack_from("<Hb", buf, off)
-    off += 3
-    if version != CLIP_VERSION:
-        raise FormatError(f"unsupported clip version {version}")
+    off = read_magic(buf, 0, CLIP_MAGIC, CLIP_VERSION, "clip")
+    (label,), off = read_struct(buf, off, "b", "clip header")
     if label != -1 and not is_label(label):
         raise FormatError(f"clip label must be -1 (absent), 0 or 1, got {label}")
-    if len(buf) < off + 2:
-        raise FormatError("truncated clip header")
-    (sid_len,) = struct.unpack_from("<H", buf, off)
-    off += 2
-    if len(buf) < off + sid_len + 16:
-        raise FormatError("truncated clip header")
-    source_id = decode_utf8(buf[off:off + sid_len], "clip source id")
-    off += sid_len
-    f_orig, r = struct.unpack_from("<dd", buf, off)
-    off += 16
+    source_id, off = read_text(buf, off, "clip source id")
+    (f_orig, r), off = read_struct(buf, off, "dd", "clip header")
     _, dims, _, end = tensor_header(buf, off, size)
     if end != size:
         raise FormatError(f"{size - end} trailing bytes after clip")

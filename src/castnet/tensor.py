@@ -29,6 +29,7 @@ from .errors import (
     NumericalFailure,
     ShapeMismatch,
 )
+from .kvtext import decode_utf8
 
 DEFAULT_DTYPE = np.float64
 
@@ -467,8 +468,55 @@ def grad_check(builder: Callable[[], Tensor], params: Sequence[Tensor],
 
 
 # ---------------------------------------------------------------------------
-# serialization: magic, version u16, dtype u8 (0=f32, 1=f64), rank u8,
-# dims as u64 little-endian, then raw little-endian values.
+# binary framing, shared by the tensor, clip and checkpoint formats: every
+# field is little-endian, and every read checks that the field fits in buf
+# first, so a short buffer raises FormatError, never struct.error.
+
+
+def read_struct(buf, off: int, fmt: str, what: str) -> tuple[tuple, int]:
+    """The little-endian struct fmt unpacked at off, and the offset past it."""
+    end = off + struct.calcsize("<" + fmt)
+    if len(buf) < end:
+        raise FormatError(f"truncated {what}")
+    return struct.unpack_from("<" + fmt, buf, off), end
+
+
+def pack_struct(fmt: str, *values) -> bytes:
+    return struct.pack("<" + fmt, *values)
+
+
+def read_magic(buf, off: int, magic: bytes, version: int, what: str) -> int:
+    """Check the magic and u16 version at off; returns the offset past them."""
+    if buf[off:off + len(magic)] != magic:
+        raise FormatError(f"bad {what} magic")
+    (got,), off = read_struct(buf, off + len(magic), "H", f"{what} header")
+    if got != version:
+        raise FormatError(f"unsupported {what} version {got}")
+    return off
+
+
+def pack_magic(magic: bytes, version: int) -> bytes:
+    return magic + pack_struct("H", version)
+
+
+def read_text(buf, off: int, what: str, fmt: str = "H") -> tuple[str, int]:
+    """UTF-8 text after a length of struct fmt (u16 or u32) at off, and the
+    offset past it."""
+    (n,), off = read_struct(buf, off, fmt, what)
+    if len(buf) < off + n:
+        raise FormatError(f"truncated {what}")
+    return decode_utf8(buf[off:off + n], what), off + n
+
+
+def pack_text(text: str, what: str, fmt: str = "H") -> bytes:
+    raw = text.encode("utf-8")
+    if len(raw) >= 1 << 8 * struct.calcsize("<" + fmt):
+        raise FormatError(f"{what} too long")
+    return pack_struct(fmt, len(raw)) + raw
+
+
+# tensors: magic, version u16, dtype u8 (0=f32, 1=f64), rank u8, dims as
+# u64, then raw little-endian values.
 
 TENSOR_MAGIC = b"CASTTNSR"
 TENSOR_VERSION = 1
@@ -482,10 +530,10 @@ def tensor_to_bytes(t: Tensor) -> bytes:
     tag = _DTYPE_TAGS.get(t.data.dtype)
     if tag is None:
         raise FormatError(f"unsupported dtype {t.data.dtype}")
-    head = TENSOR_MAGIC + struct.pack("<HBB", TENSOR_VERSION, tag, t.ndim)
-    dims = struct.pack(f"<{t.ndim}Q", *t.shape)
+    head = pack_magic(TENSOR_MAGIC, TENSOR_VERSION) + pack_struct(f"BB{t.ndim}Q", tag, t.ndim,
+                                                                  *t.shape)
     payload = np.ascontiguousarray(t.data, dtype=_TAG_DTYPES[tag].newbyteorder("<")).tobytes()
-    return head + dims + payload
+    return head + payload
 
 
 def tensor_header(buf, offset: int = 0,
@@ -495,24 +543,13 @@ def tensor_header(buf, offset: int = 0,
     stream that buf begins (default len(buf)), so buf may be a prefix that
     holds only the header: the payload is checked to fit in size bytes."""
     size = len(buf) if size is None else size
-    need = offset + len(TENSOR_MAGIC) + 4
-    if len(buf) < need:
-        raise FormatError("truncated tensor header")
-    if buf[offset:offset + 8] != TENSOR_MAGIC:
-        raise FormatError("bad tensor magic")
-    offset += 8
-    version, tag, rank = struct.unpack_from("<HBB", buf, offset)
-    offset += 4
-    if version != TENSOR_VERSION:
-        raise FormatError(f"unsupported tensor version {version}")
+    offset = read_magic(buf, offset, TENSOR_MAGIC, TENSOR_VERSION, "tensor")
+    (tag, rank), offset = read_struct(buf, offset, "BB", "tensor header")
     if tag not in _TAG_DTYPES:
         raise FormatError(f"unknown dtype tag {tag}")
     if rank < 1:
         raise FormatError("tensor rank must be >= 1")
-    if len(buf) < offset + 8 * rank:
-        raise FormatError("truncated tensor dims")
-    dims = struct.unpack_from(f"<{rank}Q", buf, offset)
-    offset += 8 * rank
+    dims, offset = read_struct(buf, offset, f"{rank}Q", "tensor dims")
     if any(d < 1 for d in dims):
         raise FormatError(f"invalid serialized dims {dims}")
     dt = _TAG_DTYPES[tag]

@@ -48,20 +48,19 @@ def bce_with_logits(logit: Union[Tensor, float], y):
 
     Stable for |z| up to at least 1e4. Tensor input joins the gradient
     graph and returns a Tensor of per-logit losses; y is then one label or
-    one label per logit. Plain numbers return a float.
+    one label per logit. A plain number is a one-element Tensor's loss,
+    returned as a float.
     """
+    if not isinstance(logit, Tensor):
+        return bce_with_logits(Tensor([float(logit)]), y).item()
     labels = np.asarray(y, dtype=np.float64)
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise ConfigError(f"labels must be 0 or 1, got {y}")
-    if isinstance(logit, Tensor):
-        loss = T.softplus(T.scale(logit, -1.0))
-        if np.any(labels != 1.0):
-            loss = T.add(loss, T.mul(logit, Tensor(np.broadcast_to(1.0 - labels, logit.shape),
-                                                   dtype=logit.dtype)))
-        return loss
-    y = float(y)
-    z = float(logit)
-    return max(-z, 0.0) + float(np.log1p(np.exp(-abs(z)))) + (1.0 - y) * z
+    loss = T.softplus(T.scale(logit, -1.0))
+    if np.any(labels != 1.0):
+        loss = T.add(loss, T.mul(logit, Tensor(np.broadcast_to(1.0 - labels, logit.shape),
+                                               dtype=logit.dtype)))
+    return loss
 
 
 class AdamState:
@@ -155,7 +154,7 @@ def _validate_epoch(params: M.CastParams, cfg: M.CastConfig,
     clips = (read_clip(path) for path, _ in val_rows)
     logits, scores = score_clips(clips, params, cfg, cfg.eval_logit_mode, batch_size)
     labels = [label for _, label in val_rows]
-    losses = [bce_with_logits(z, label) for z, label in zip(logits, labels)]
+    losses = bce_with_logits(Tensor(logits), labels).data
     if all(np.isfinite(s) for s in scores):
         _, auc = roc_auc(scores, labels)
     else:

@@ -345,7 +345,7 @@ class TestCmdEval:
             cli.main(["eval", "--checkpoint", str(zero_classifier_ckpt),
                       "--manifest", str(tiny_dataset["manifest"]), "--out", str(out)])
         assert (out / "report.txt").read_bytes() == b"old report\n"
-        assert not (out / "report.txt.tmp").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["report.txt"]
 
     def test_roc_file_endpoints(self, tiny_dataset, tmp_path):
         cfg = tiny_model_cfg()

@@ -2,6 +2,8 @@
 
 import ast
 import struct
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -78,11 +80,10 @@ class TestSelectFrames:
 
 class TestNormalizeFrame:
     def test_mean_frame_maps_to_zero(self):
-        spec = pp.NormalizationSpec()
         frame = np.zeros((3, 4, 4))
         for c in range(3):
-            frame[c] = spec.mean[c]
-        out = pp.normalize_frame(T.Tensor(frame), spec)
+            frame[c] = pp.DEFAULT_MEAN[c]
+        out = pp.normalize_frame(T.Tensor(frame))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-15)
 
     def test_unit_pixel_fixture(self):
@@ -94,15 +95,11 @@ class TestNormalizeFrame:
 
     def test_matches_per_channel_formula(self):
         frame = T.uniform((3, 8, 8), 0, 1, seed=5)
-        spec = pp.NormalizationSpec(mean=(0.1, 0.5, 0.9), std=(0.2, 0.3, 0.4))
-        out = pp.normalize_frame(frame, spec).data
+        out = pp.normalize_frame(frame).data
         for c in range(3):
-            np.testing.assert_allclose(out[c], (frame.data[c] - spec.mean[c]) / spec.std[c],
-                                       rtol=1e-15, atol=0)
-
-    def test_std_must_be_positive(self):
-        with pytest.raises(InvalidRate):
-            pp.NormalizationSpec(std=(0.1, 0.0, 0.1))
+            np.testing.assert_allclose(
+                out[c], (frame.data[c] - pp.DEFAULT_MEAN[c]) / pp.DEFAULT_STD[c],
+                rtol=1e-15, atol=0)
 
 
 class TestClipFiles:
@@ -268,9 +265,9 @@ class TestManifest:
                                           pp.ClipRecord("b.castclip", 0, "val")]
 
 
-def _file_writes(source: str) -> list[tuple[str, int, str]]:
-    """(enclosing function, line, call) for each open() whose mode may
-    write and each os.replace() in a module's source."""
+def _scan_calls(source: str, pick) -> list[tuple[str, int, str]]:
+    """(enclosing function, line, label) for each call in a module's source
+    that pick(call) labels; pick returns None for the rest."""
     found = []
 
     def visit(node, func):
@@ -279,29 +276,60 @@ def _file_writes(source: str) -> list[tuple[str, int, str]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = child.name
             elif isinstance(child, ast.Call):
-                f = child.func
-                if isinstance(f, ast.Name) and f.id == "open":
-                    mode = child.args[1] if len(child.args) > 1 else next(
-                        (k.value for k in child.keywords if k.arg == "mode"), None)
-                    if mode is not None and not (isinstance(mode, ast.Constant)
-                                                 and not set("wax+") & set(mode.value)):
-                        found.append((func, child.lineno, "open"))
-                elif (isinstance(f, ast.Attribute) and f.attr == "replace"
-                      and isinstance(f.value, ast.Name) and f.value.id == "os"):
-                    found.append((func, child.lineno, "os.replace"))
+                label = pick(child)
+                if label is not None:
+                    found.append((func, child.lineno, label))
             visit(child, name)
 
     visit(ast.parse(source), "<module>")
     return found
 
 
+def _is_call_of(call, module: str, names) -> bool:
+    f = call.func
+    return (isinstance(f, ast.Attribute) and f.attr in names
+            and isinstance(f.value, ast.Name) and f.value.id == module)
+
+
+def _file_writes(source: str) -> list[tuple[str, int, str]]:
+    """(enclosing function, line, call) for each open() whose mode may
+    write and each os.replace() in a module's source."""
+    def pick(call):
+        f = call.func
+        if isinstance(f, ast.Name) and f.id == "open":
+            mode = call.args[1] if len(call.args) > 1 else next(
+                (k.value for k in call.keywords if k.arg == "mode"), None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and not set("wax+") & set(mode.value)):
+                return "open"
+        elif _is_call_of(call, "os", ("replace",)):
+            return "os.replace"
+        return None
+
+    return _scan_calls(source, pick)
+
+
+def _struct_reads(source: str) -> list[tuple[str, int, str]]:
+    """(enclosing function, line, call) for each struct.unpack or
+    struct.unpack_from call in a module's source."""
+    names = ("unpack", "unpack_from")
+    return _scan_calls(source, lambda call: f"struct.{call.func.attr}"
+                       if _is_call_of(call, "struct", names) else None)
+
+
+def _src_scan(scan) -> dict:
+    """(module file, enclosing function) -> [(line, call)] over src/castnet."""
+    found = {}
+    for path in sorted(Path(pp.__file__).parent.glob("*.py")):
+        for func, line, call in scan(path.read_text(encoding="utf-8")):
+            found.setdefault((path.name, func), []).append((line, call))
+    return found
+
+
 class TestWriteFile:
     def test_only_write_file_writes(self):
         # one write path keeps every output atomic
-        writes = {}
-        for path in sorted(Path(pp.__file__).parent.glob("*.py")):
-            for func, line, call in _file_writes(path.read_text(encoding="utf-8")):
-                writes.setdefault((path.name, func), []).append((line, call))
+        writes = _src_scan(_file_writes)
         assert sorted(writes) == [("preprocess.py", "write_file")], writes
         assert sorted(call for _, call in writes["preprocess.py", "write_file"]) == [
             "open", "os.replace"]
@@ -312,3 +340,47 @@ class TestWriteFile:
                "    open(p, m)\n    def c():\n        os.replace(p, p)\n")
         assert _file_writes(src) == [("b", 5, "open"), ("b", 6, "open"), ("b", 7, "open"),
                                      ("c", 9, "os.replace")]
+
+    def test_concurrent_writers_of_one_path(self, tmp_path):
+        # two threads writing one path at once each rename their own temp
+        # file; a shared temp name made os.replace lose the race
+        path = tmp_path / "out.bin"
+        payloads = [bytes([1]) * 200_000, bytes([2]) * 200_000]
+        done, errors = [], []
+
+        def writer(data):
+            for _ in range(500):
+                try:
+                    pp.write_file(path, data)
+                    done.append(1)
+                except Exception as e:  # noqa: BLE001 - every failure is collected
+                    errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(done) == 1000, errors[:3]
+        assert path.read_bytes() in payloads
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+
+class TestFraming:
+    def test_only_the_framing_reader_unpacks(self):
+        # one bounds-checked reader: a short buffer raises FormatError
+        reads = _src_scan(_struct_reads)
+        assert sorted(reads) == [("tensor.py", "read_struct")], reads
+
+    def test_layout_scan_sees_struct_reads(self):
+        src = ("import struct\nstruct.unpack('<H', b'ab')\n"
+               "def a(b):\n    struct.pack('<H', 1)\n    x.unpack_from('<H', b)\n"
+               "    def c():\n        return struct.unpack_from('<H', b, 0)\n")
+        assert _struct_reads(src) == [("<module>", 2, "struct.unpack"),
+                                      ("c", 7, "struct.unpack_from")]

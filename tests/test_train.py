@@ -109,6 +109,18 @@ class TestBceWithLogits:
         with pytest.raises(ConfigError):
             bce_with_logits(0.0, 2)
 
+    def test_float_path_is_the_tensor_path(self):
+        rng = np.random.default_rng(2)
+        zs = np.concatenate([rng.uniform(-40, 40, 100), [0.0, -0.0, 1e4, -1e4]])
+        for y in (0, 1):
+            batch = bce_with_logits(T.Tensor(zs), [y] * zs.size).data
+            assert [bce_with_logits(z, y) for z in zs] == batch.tolist()
+
+    def test_infinite_logit_on_its_label_costs_nothing(self):
+        # 0 * inf in a separate (1 - y) * z term made this NaN
+        assert bce_with_logits(np.inf, 1) == 0.0
+        assert bce_with_logits(T.Tensor([np.inf]), 1).data.tolist() == [0.0]
+
 
 def _grad_map_for(params, arrays):
     gm = T.GradientMap()
