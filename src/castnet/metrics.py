@@ -18,15 +18,29 @@ from .tensor import stable_sigmoid
 EVAL_BATCH = 8
 
 
-def accuracy(scores, labels) -> tuple[int, int, int, int, float]:
-    """Confusion counts and accuracy at the fixed 0.5 threshold; a score of
-    exactly 0.5 classifies positive (fake)."""
-    scores = np.asarray(list(scores), dtype=np.float64)
-    labels = np.asarray(list(labels))
+def check_labels(labels) -> np.ndarray:
+    """labels as a float64 array; ConfigError unless every one is 0 or 1."""
+    arr = np.asarray(labels, dtype=np.float64)
+    if not np.all((arr == 0.0) | (arr == 1.0)):
+        raise ConfigError(f"labels must be 0 or 1, got {labels}")
+    return arr
+
+
+def _scored(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """scores and labels as arrays, checked non-empty, of one length, and
+    with every label 0 or 1."""
+    scores, labels = np.asarray(list(scores), dtype=np.float64), np.asarray(list(labels))
     if scores.size == 0:
         raise EmptyEval("no scores to evaluate")
     if len(scores) != len(labels):
         raise ShapeMismatch(f"{len(scores)} scores for {len(labels)} labels")
+    return scores, check_labels(labels)
+
+
+def accuracy(scores, labels) -> tuple[int, int, int, int, float]:
+    """Confusion counts and accuracy at the fixed 0.5 threshold; a score of
+    exactly 0.5 classifies positive (fake)."""
+    scores, labels = _scored(scores, labels)
     fake, pos = scores >= 0.5, labels == 1
     tp, fn = int(np.sum(fake & pos)), int(np.sum(~fake & pos))
     fp, tn = int(np.sum(fake & ~pos)), int(np.sum(~fake & ~pos))
@@ -37,12 +51,7 @@ def roc_auc(scores, labels) -> tuple[list[tuple[float, float]], float]:
     """ROC curve (threshold swept over every distinct score) and its
     trapezoidal area, which equals the Mann-Whitney statistic with half
     credit for ties. Integer accumulation keeps the value exact."""
-    scores = np.asarray(list(scores), dtype=np.float64)
-    labels = np.asarray(list(labels), dtype=np.int64)
-    if scores.size == 0:
-        raise EmptyEval("no scores to evaluate")
-    if len(scores) != len(labels):
-        raise ShapeMismatch(f"{len(scores)} scores for {len(labels)} labels")
+    scores, labels = _scored(scores, labels)
     if not np.all(np.isfinite(scores)):
         raise NumericalFailure("non-finite scores")
     n_pos = int((labels == 1).sum())
@@ -79,14 +88,6 @@ class EvalReport:
     @property
     def n_videos(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
-
-
-def report_from_scores(scores, labels, paths) -> EvalReport:
-    tp, tn, fp, fn, acc = accuracy(scores, labels)
-    roc, auc = roc_auc(scores, labels)
-    return EvalReport(tp=tp, tn=tn, fp=fp, fn=fn, accuracy=acc, roc=roc,
-                      auc=auc, scores=list(scores), labels=list(labels),
-                      paths=list(paths))
 
 
 def clip_scores(out: M.ModelOutput, mode: str) -> np.ndarray:
@@ -144,8 +145,11 @@ def evaluate(checkpoint_path, manifest_path,
     rows = load_split(manifest_path, "test")
     clips = (read_clip(path) for path, _ in rows)
     _, scores = score_clips(clips, params, cfg, mode, EVAL_BATCH)
-    return report_from_scores(scores, [label for _, label in rows],
-                              [path for path, _ in rows])
+    labels = [label for _, label in rows]
+    tp, tn, fp, fn, acc = accuracy(scores, labels)
+    roc, auc = roc_auc(scores, labels)
+    return EvalReport(tp=tp, tn=tn, fp=fp, fn=fn, accuracy=acc, roc=roc, auc=auc,
+                      scores=scores, labels=labels, paths=[path for path, _ in rows])
 
 
 def write_report(report: EvalReport, report_path, roc_path, scores_path) -> None:

@@ -388,8 +388,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, drop_rate: float,
     d_h = q.shape[-1]
     scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d_h))
     attn = softmax_rows(scores)
-    attn_used = dropout(attn, drop_rate, mode, seed) if drop_rate else attn
-    return T.matmul(attn_used, v), attn
+    return T.matmul(dropout(attn, drop_rate, mode, seed), v), attn
 
 
 def attention(xq: Tensor, xkv: Tensor, heads: list[AttnHead], out_proj: Tensor,
@@ -461,9 +460,7 @@ def init_conv2d(out_ch: int, in_ch: int, kh: int, kw: int, stride: int,
 
 
 def init_pointwise(d: int, c: int, seed: int) -> PointwiseProj:
-    weight = fan_uniform((d, c), c, d, seed)
-    bias = T.zeros((d,), requires_grad=True)
-    return PointwiseProj(weight=weight, bias=bias)
+    return PointwiseProj(*init_linear(c, d, seed))
 
 
 def init_layer_norm(d: int) -> LayerNormParams:

@@ -12,7 +12,7 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .errors import ConfigError, DivergenceError, ShapeMismatch
-from .metrics import roc_auc, score_clips
+from .metrics import check_labels, roc_auc, score_clips
 from .preprocess import load_split, read_clip, to_tsv, write_file
 from .seeding import derive_seed
 from .tensor import GradientMap, Tensor
@@ -44,23 +44,18 @@ class TrainConfig:
 
 
 def bce_with_logits(logit: Union[Tensor, float], y):
-    """Binary cross-entropy from the raw logit: softplus(-z) + (1-y)*z.
+    """Binary cross-entropy from the raw logit: softplus((1 - 2y) * z).
 
-    Stable for |z| up to at least 1e4. Tensor input joins the gradient
-    graph and returns a Tensor of per-logit losses; y is then one label or
-    one label per logit. A plain number is a one-element Tensor's loss,
-    returned as a float.
+    One formula for both labels, so nothing cancels: the loss is 0 at
+    z = +inf for y = 1 and at z = -inf for y = 0. Tensor input joins the
+    gradient graph and returns a Tensor of per-logit losses; y is then one
+    label or one label per logit. A plain number is a one-element Tensor's
+    loss, returned as a float.
     """
     if not isinstance(logit, Tensor):
         return bce_with_logits(Tensor([float(logit)]), y).item()
-    labels = np.asarray(y, dtype=np.float64)
-    if not np.all((labels == 0.0) | (labels == 1.0)):
-        raise ConfigError(f"labels must be 0 or 1, got {y}")
-    loss = T.softplus(T.scale(logit, -1.0))
-    if np.any(labels != 1.0):
-        loss = T.add(loss, T.mul(logit, Tensor(np.broadcast_to(1.0 - labels, logit.shape),
-                                               dtype=logit.dtype)))
-    return loss
+    sign = np.broadcast_to(1.0 - 2.0 * check_labels(y), logit.shape)
+    return T.softplus(T.mul(logit, Tensor(sign, dtype=logit.dtype)))
 
 
 class AdamState:

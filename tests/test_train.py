@@ -117,9 +117,24 @@ class TestBceWithLogits:
             assert [bce_with_logits(z, y) for z in zs] == batch.tolist()
 
     def test_infinite_logit_on_its_label_costs_nothing(self):
-        # 0 * inf in a separate (1 - y) * z term made this NaN
-        assert bce_with_logits(np.inf, 1) == 0.0
-        assert bce_with_logits(T.Tensor([np.inf]), 1).data.tolist() == [0.0]
+        # a separate (1 - y) * z term makes inf - inf = NaN, with a warning
+        with np.errstate(all="raise"):
+            assert bce_with_logits(np.inf, 1) == 0.0
+            assert bce_with_logits(-np.inf, 0) == 0.0
+            assert bce_with_logits(T.Tensor([np.inf, -np.inf]), [1, 0]).data.tolist() == [0.0, 0.0]
+
+    def test_real_clip_loss_keeps_its_precision_at_negative_logits(self):
+        # softplus(-z) + z would cancel here: 0.0 at z = -37, true value 8.5e-17
+        for z in np.linspace(-40.0, -20.0, 201):
+            exact = np.log1p(np.exp(np.longdouble(z)))
+            assert abs(bce_with_logits(z, 0) - exact) <= 1e-15 * exact
+
+    def test_graph_size_does_not_depend_on_labels(self):
+        def records(labels):
+            z = T.Tensor(np.linspace(-3.0, 3.0, len(labels)), requires_grad=True)
+            return len(T._reachable(T.sum_all(bce_with_logits(z, labels))))
+
+        assert records([1] * 8) == records([0, 1] * 4)
 
 
 def _grad_map_for(params, arrays):
@@ -286,6 +301,10 @@ class TestAccuracy:
         with pytest.raises(ShapeMismatch, match="3 scores for 2 labels"):
             metrics.accuracy([0.1, 0.9, 0.5], [0, 1])
 
+    def test_label_other_than_zero_or_one_rejected(self):
+        with pytest.raises(ConfigError, match="labels must be 0 or 1"):
+            metrics.accuracy([0.9, 0.8, 0.1], [1, 2, 0])
+
     def test_invariant_under_monotone_transform_fixing_half(self):
         rng = np.random.default_rng(3)
         scores = rng.uniform(0, 1, 60)
@@ -349,6 +368,11 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateEval):
             metrics.roc_auc([0.4, 0.6], [1, 1])
+
+    def test_label_other_than_zero_or_one_rejected(self):
+        # unchecked, these labels gave an AUC of 2.0
+        with pytest.raises(ConfigError, match="labels must be 0 or 1"):
+            metrics.roc_auc([0.9, 0.8, 0.1], [1, 2, 0])
 
     @pytest.mark.parametrize("scores,labels", [([0.1, 0.9], [0, 1, 1]),
                                                ([0.1, 0.9, 0.5], [0, 1])])
