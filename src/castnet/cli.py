@@ -132,7 +132,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    render_heatmap(args.checkpoint, args.clip, args.frame, args.out)
+    row = render_heatmap(args.checkpoint, args.clip, args.frame, args.out)
+    print(f"row_min {float(row.min())!r}")
+    print(f"row_max {float(row.max())!r}")
     print(args.out)
     return 0
 

@@ -59,7 +59,10 @@ def read_pgm(path) -> np.ndarray:
 
 def render_heatmap(checkpoint_path, clip_path, frame_index: int, out_path) -> np.ndarray:
     """Run the model on a clip, pick the attention row of one temporal
-    token, and write it as a PGM heatmap at the clip's resolution."""
+    token, and write it as a PGM heatmap at the clip's resolution. Returns
+    the raw row as a (grid_h, grid_w) grid: the image stretches any
+    non-constant row to 0-255, so only the row's own range tells a flat row
+    from a peaked one."""
     cfg, params = M.load_checkpoint(checkpoint_path)
     clip = read_clip(clip_path)
     with T.no_grad():
@@ -72,6 +75,5 @@ def render_heatmap(checkpoint_path, clip_path, frame_index: int, out_path) -> np
     grid_h = clip.height // cfg.downsample_factor
     grid_w = clip.width // cfg.downsample_factor
     row = out.attention.data[frame_index].reshape(grid_h, grid_w)
-    img = grid_to_image(row, clip.height, clip.width)
-    write_pgm(out_path, img)
-    return img
+    write_pgm(out_path, grid_to_image(row, clip.height, clip.width))
+    return row

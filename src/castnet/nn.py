@@ -4,15 +4,14 @@ attention, dropout, and fan-scaled parameter initialization.
 Fused ops (conv2d, pooling, linear, layer_norm, softmax, dropout) register
 their own backward rules through tensor.apply_op; everything
 else is composed from tensor primitives. conv2d can apply its ReLU inside
-the same record; its backward reuses scratch memory kept per thread, so
-concurrent callers never share it. Dropout masks come from a counter-based
-stream (seeding.counter_uniforms), one per seed. Leading axes are batch axes
-throughout: the map ops take (..., C, H, W) and the row ops (..., d). A
-backward rule keeps the shapes and arrays it needs, never an input Tensor,
-so a recorded op does not keep its input alive. A conv over an input that
-needs a gradient keeps its column matrix; over one that needs none (the
-clip frames at the first backbone stage) it keeps that input's array, which
-the caller holds anyway, and rebuilds the columns in backward.
+the same record; its forward and backward build their column matrices in
+scratch memory kept per thread, so concurrent callers never share it.
+Dropout masks come from a counter-based stream (seeding.counter_uniforms),
+one per seed. Leading axes are batch axes throughout: the map ops take
+(..., C, H, W) and the row ops (..., d). A backward rule keeps the shapes
+and arrays it needs, never an input Tensor, so a recorded op does not keep
+its input alive. A conv keeps its input's array, not its column matrix,
+and rebuilds the columns in backward.
 """
 
 from __future__ import annotations
@@ -83,13 +82,14 @@ def _tap_span(offset: int, stride: int, pad: int, size: int, out_size: int):
 
 def _im2col(xd: np.ndarray, row_spans: list, col_spans: list, h_out: int,
             w_out: int) -> np.ndarray:
-    """The column matrix (n, c*kh*kw, h_out*w_out) of images (n, c, h, w):
-    each kernel tap copies the input it reads from inside the image into a
-    zeroed (n, c, kh, kw, h_out, w_out) buffer, so padding is never
-    materialised."""
+    """The column matrix (n, c*kh*kw, h_out*w_out) of images (n, c, h, w),
+    in this thread's column scratch: each kernel tap copies the input it
+    reads from inside the image into the zeroed (n, c, kh, kw, h_out, w_out)
+    buffer, so padding is never materialised."""
     n, c = xd.shape[:2]
     kh, kw = len(row_spans), len(col_spans)
-    cols = np.zeros((n, c, kh, kw, h_out, w_out), dtype=xd.dtype)
+    cols = _scratch("cols", (n, c, kh, kw, h_out, w_out), xd.dtype)
+    cols.fill(0)
     for i, rs in enumerate(row_spans):
         for j, cs in enumerate(col_spans):
             if rs is not None and cs is not None:
@@ -104,15 +104,14 @@ def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
     T.relu on the result would.
 
     H_out = floor((H + 2*pad - kh)/stride) + 1, likewise for W. Padding is
-    never materialised in the forward: each kernel tap copies only the input
-    it reads from inside the image into a zeroed column buffer. A recorded
-    conv keeps that buffer for its kernel gradient only when x needs a
-    gradient. Otherwise, as for the clip frames at backbone stage 0, it keeps
-    x's array and rebuilds the columns in backward with the same tap loop, so
-    they are bitwise the forward's; at 3x3 stride 2 the buffer is 2.25x the
-    input. The backward writes the column gradient into a per-thread scratch
-    buffer and folds it onto a padded input gradient with one bincount, which
-    adds each site's taps in the same order as a loop over the taps would.
+    never materialised: each kernel tap copies only the input it reads from
+    inside the image into a zeroed column buffer, a per-thread scratch view.
+    A recorded conv keeps x's array, not the columns (2.25x the input at 3x3
+    stride 2), and its backward rebuilds them into the same scratch with the
+    same tap loop, so they are bitwise the forward's. The backward writes the
+    column gradient into a second per-thread scratch buffer and folds it onto
+    a padded input gradient with one bincount, which adds each site's taps in
+    the same order as a loop over the taps would.
     """
     if x.ndim < 3:
         raise ShapeMismatch(f"conv2d expects (..., C, H, W), got {x.shape}")
@@ -130,10 +129,10 @@ def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
     n = xd.shape[0]
     row_spans = [_tap_span(i, s, pad, h, h_out) for i in range(kh)]
     col_spans = [_tap_span(j, s, pad, w, w_out) for j in range(kw)]
-    cols = _im2col(xd, row_spans, col_spans, h_out, w_out)
     kshape = p.kernel.shape
     kmat = p.kernel.data.reshape(out_ch, -1)
-    out = np.matmul(kmat, cols).reshape(lead + (out_ch, h_out, w_out))
+    out = np.matmul(kmat, _im2col(xd, row_spans, col_spans, h_out, w_out))
+    out = out.reshape(lead + (out_ch, h_out, w_out))
     out += p.bias.data[:, None, None]
     inputs = (x, p.kernel, p.bias)
     mask = None
@@ -144,20 +143,13 @@ def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
         np.fmax(out, 0.0, out=out)  # as T.relu: NaN -> 0, -0.0 -> +0.0
 
     need_gx = x.requires_grad
-    # each closure captures only what its case reads
-    if need_gx:
-        def columns():
-            return cols
-    else:  # e.g. the clip frames at stage 0: keep the input, not its columns
-        def columns():
-            return _im2col(xd, row_spans, col_spans, h_out, w_out)
 
     def bwd(g):
         if mask is not None:
             g = g * mask
         gm = g.reshape(n, out_ch, h_out * w_out)
         gbias = gm.sum(axis=(0, 2))
-        cm = columns()
+        cm = _im2col(xd, row_spans, col_spans, h_out, w_out)
         if h_out * w_out >= _BATCHED_KGRAD_SITES:
             gkernel = np.matmul(gm, cm.transpose(0, 2, 1)).sum(axis=0)
         else:
@@ -166,7 +158,7 @@ def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
         if not need_gx:
             return None, gkernel, gbias
         kt = kmat.T
-        gcols = _scratch((n, c * kh * kw, h_out * w_out), np.result_type(kt, gm))
+        gcols = _scratch("gcols", (n, c * kh * kw, h_out * w_out), np.result_type(kt, gm))
         np.matmul(kt, gm, out=gcols)
         flat = np.bincount(_fold_index(n, c, hp, wp, kh, kw, s, h_out, w_out),
                            weights=gcols.reshape(-1), minlength=n * c * hp * wp)
@@ -183,17 +175,17 @@ _BATCHED_KGRAD_SITES = 64
 _scratch_local = threading.local()
 
 
-def _scratch(shape: tuple, dtype) -> np.ndarray:
+def _scratch(slot: str, shape: tuple, dtype) -> np.ndarray:
     """An uninitialised array of this shape and dtype: a view of the prefix
-    of one buffer per thread and dtype, which grows to the largest request.
-    Later calls on the same thread reuse it, so the caller must be done with
-    it before the next."""
+    of one buffer per thread, slot and dtype, which grows to the largest
+    request and never shrinks. Later calls for the same slot on the same
+    thread reuse it, so the caller must be done with it before the next."""
     bufs = _scratch_local.__dict__.setdefault("bufs", {})
-    dtype = np.dtype(dtype)
+    key = (slot, np.dtype(dtype))
     size = math.prod(shape)
-    buf = bufs.get(dtype)
+    buf = bufs.get(key)
     if buf is None or buf.size < size:
-        buf = bufs[dtype] = np.empty(size, dtype)
+        buf = bufs[key] = np.empty(size, key[1])
     return buf[:size].reshape(shape)
 
 

@@ -160,11 +160,12 @@ def _validate_epoch(params: M.CastParams, cfg: M.CastConfig,
 def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
           cfg: TrainConfig, out_dir) -> TrainResult:
     """Train with seeded shuffling, save the checkpoint whenever validation
-    loss strictly improves, and write a per-epoch history file; raise
-    DivergenceError after it if no epoch saved a checkpoint. A best.ckpt
-    already in out_dir is removed before the first epoch, after every clip
-    header has been checked. Clips are read as the shuffled order draws
-    them, so training and validation hold one batch of clips at a time."""
+    loss strictly improves, and rewrite the history file after every epoch;
+    raise DivergenceError after it if no epoch saved a checkpoint. A best.ckpt
+    or history.tsv already in out_dir is removed before the first epoch,
+    after every clip header has been checked. Clips are read as the shuffled
+    order draws them, so training and validation hold one batch of clips at
+    a time."""
     cfg.validate()
     model_cfg.validate()
     train_rows = load_split(train_manifest, "train")
@@ -175,10 +176,11 @@ def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(os.fspath(out_dir), "best.ckpt")
     history_path = os.path.join(os.fspath(out_dir), "history.tsv")
-    try:  # a checkpoint left by an earlier run must not outlive this one
-        os.remove(ckpt_path)
-    except FileNotFoundError:
-        pass
+    for stale in (ckpt_path, history_path):  # an earlier run's files must not outlive this one
+        try:
+            os.remove(stale)
+        except FileNotFoundError:
+            pass
 
     params = M.init_cast_params(model_cfg, derive_seed(cfg.seed, "init"))
     tensors = params.all_tensors()
@@ -221,9 +223,10 @@ def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
             best_val = val_loss
             best_epoch = epoch
             M.save_checkpoint(ckpt_path, model_cfg, params)
+        # every epoch, so a run that diverges later keeps the epochs it finished
+        write_file(history_path, to_tsv([[f.name for f in fields(EpochRecord)]]
+                                         + [astuple(rec) for rec in history]))
 
-    write_file(history_path, to_tsv([[f.name for f in fields(EpochRecord)]]
-                                     + [astuple(rec) for rec in history]))
     if best_epoch < 0:
         raise DivergenceError(f"no epoch reached a finite validation loss, so no "
                               f"checkpoint was written (history in {history_path})")

@@ -15,7 +15,7 @@ from castnet import tensor as T
 from castnet.config import load_experiment_config, parse_experiment_text
 from castnet.errors import ConfigError, FormatError
 from castnet.metrics import evaluate
-from castnet.preprocess import read_manifest
+from castnet.preprocess import read_clip, read_manifest
 from conftest import tiny_model_cfg
 
 
@@ -273,8 +273,36 @@ class TestCmdTrain:
     def test_non_finite_gradients_exit_three(self, tmp_path, capsys, nan_gradients):
         cfg_path = write_config(tmp_path)
         assert cli.main(["gen", "--config", str(cfg_path)]) == 0
+        stale = tmp_path / "out" / "train" / "history.tsv"
+        stale.parent.mkdir()
+        stale.write_text("an earlier run's history\n")
         assert cli.main(["train", "--config", str(cfg_path)]) == 3
         assert "no Adam step" in capsys.readouterr().err
+        assert not stale.exists()  # epoch 1 diverged: no history of this run
+
+    def test_divergence_keeps_finished_epochs_history(self, tmp_path, monkeypatch, capsys):
+        # 8 train clips in steps of 4: from epoch 2 on, every gradient is NaN
+        cfg_path = write_config(tmp_path, training={"max_epochs": 3, "batch_size": 4,
+                                                    "seed": 0})
+        assert cli.main(["gen", "--config", str(cfg_path)]) == 0
+        calls = []
+        real = T.backward
+
+        def poisoned_from_epoch_two(loss):
+            grads = real(loss)
+            calls.append(1)
+            if len(calls) > 2:
+                for g in grads.values():
+                    g.data[...] = np.nan
+            return grads
+        monkeypatch.setattr(T, "backward", poisoned_from_epoch_two)
+        assert cli.main(["train", "--config", str(cfg_path)]) == 3
+        assert "epoch 2" in capsys.readouterr().err
+        run = tmp_path / "out" / "train"
+        rows = [r.split("\t") for r in (run / "history.tsv").read_text().splitlines()]
+        assert rows[0] == ["epoch", "train_loss", "val_loss", "val_auc"]
+        assert [r[0] for r in rows[1:]] == ["1"]
+        assert (run / "best.ckpt").exists()
 
 
 @pytest.fixture()
@@ -563,6 +591,30 @@ class TestCmdHeatmap:
         raw = out.read_bytes()
         header_end = raw.index(b"255\n") + 4
         assert len(raw) - header_end == 64  # exactly H*W payload bytes
+
+    def test_prints_the_raw_range_of_the_stretched_row(self, tiny_dataset, tmp_path, capsys):
+        cfg = tiny_model_cfg()
+        params = M.init_cast_params(cfg, seed=5)
+        ckpt = tmp_path / "m.ckpt"
+        M.save_checkpoint(ckpt, cfg, params)
+        out = tmp_path / "heat.pgm"
+        capsys.readouterr()
+        code = cli.main(["heatmap", "--checkpoint", str(ckpt),
+                         "--clip", self._clip_path(tiny_dataset),
+                         "--frame", "1", "--out", str(out)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:2]] == ["row_min", "row_max"]
+        lo, hi = (float(line.split()[1]) for line in lines[:2])
+        assert lines[2] == str(out)
+        with T.no_grad():
+            row = M.forward(read_clip(self._clip_path(tiny_dataset)), params,
+                            cfg, mode="eval").attention.data[1]
+        assert (lo, hi) == (row.min(), row.max())
+        # the image stretches that range to full contrast, however narrow
+        assert 0.0 < lo < hi < 1.0
+        img = H.read_pgm(out)
+        assert img.min() == 0 and img.max() == 255
 
     def test_unsupported_variant_exits_five(self, tiny_dataset, tmp_path, capsys):
         cfg = tiny_model_cfg(variant="no_cross_attention")

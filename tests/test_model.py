@@ -590,10 +590,12 @@ class TestTapeSize:
                              "multi_scale": 122, "no_projection": 91}
 
     # traced bytes that the default step's graph holds once its loss is built,
-    # the clips built before tracing starts; the same rule as the counts. The
-    # slack covers interpreter state, not an array: the smallest conv record's
-    # columns are 0.6 MB
-    DEFAULT_STEP_GRAPH_BYTES = 18_870_000
+    # and the traced peak of the step's forward plus backward; the clips are
+    # built and one step is run before tracing starts, so the per-thread conv
+    # scratch has its full size. The same rule as the counts. The slack covers
+    # interpreter state, not an array: the smallest conv's columns are 0.6 MB
+    DEFAULT_STEP_GRAPH_BYTES = 11_010_000
+    DEFAULT_STEP_PEAK_BYTES = 14_800_000
     GRAPH_BYTES_SLACK = 250_000
 
     @staticmethod
@@ -618,20 +620,38 @@ class TestTapeSize:
     def test_default_train_step_record_count(self):
         self._assert_step_records(M.CastConfig(), self.DEFAULT_STEP_RECORDS)
 
-    def test_default_train_step_graph_bytes(self):
+    def _traced_second_step(self, run):
+        """(bytes held, peak bytes) while run(cfg, params, clips) makes the
+        default config's second step."""
         cfg = M.CastConfig()
         params, clips = self._step_inputs(cfg)
+        T.backward(self._step_loss(cfg, params, clips))
         tracemalloc.start()
         try:
-            loss = self._step_loss(cfg, params, clips)
-            held = tracemalloc.get_traced_memory()[0]
+            result = run(cfg, params, clips)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert loss.record is not None
-        pinned = self.DEFAULT_STEP_GRAPH_BYTES
-        assert abs(held - pinned) <= self.GRAPH_BYTES_SLACK, (
-            f"one train step's graph now holds {held} bytes, not about {pinned}; if "
+        assert result.record is not None
+        return held, peak
+
+    def _assert_bytes(self, what, got, pinned):
+        assert abs(got - pinned) <= self.GRAPH_BYTES_SLACK, (
+            f"one train step's {what} is now {got} bytes, not about {pinned}; if "
             f"intended, update the pin and report both values in CHANGES.md")
+
+    def test_default_train_step_graph_bytes(self):
+        held, _ = self._traced_second_step(self._step_loss)
+        self._assert_bytes("graph", held, self.DEFAULT_STEP_GRAPH_BYTES)
+
+    def test_default_train_step_peak_bytes(self):
+        def step(cfg, params, clips):
+            loss = self._step_loss(cfg, params, clips)
+            T.backward(loss)
+            return loss
+
+        _, peak = self._traced_second_step(step)
+        self._assert_bytes("traced peak", peak, self.DEFAULT_STEP_PEAK_BYTES)
 
     @pytest.mark.parametrize("variant", M.VARIANTS)
     def test_ablation_shape_record_count(self, variant):

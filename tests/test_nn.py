@@ -3,6 +3,7 @@
 import gc
 import inspect
 import re
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -298,15 +299,72 @@ class TestConv2dBackward:
                 for a, b in zip(grads, want[t]):
                     np.testing.assert_array_equal(a, b)
 
-    def test_scratch_is_one_buffer_per_dtype(self):
-        # the default stage-1 and stage-2 column gradients share one buffer
-        a = nn._scratch((16, 144, 64), np.float64)
-        b = nn._scratch((16, 288, 16), np.float64)
+    def test_threads_share_no_column_scratch(self):
+        # a default stage-1 conv, recorded, forward and backward: both build
+        # their columns in scratch, so a thread switch mid-conv must not let
+        # the other thread's columns in
+        rng = np.random.default_rng(56)
+        _, p = random_conv(rng, (16, 16, 16, 16), 32, 3, 2, 1)
+        xs = [rng.uniform(-1, 1, (16, 16, 16, 16)) for _ in range(2)]
+        r = rng.uniform(0.5, 1.5, (16, 32, 8, 8))
+
+        def run(xd):
+            x = T.Tensor(xd, requires_grad=True)
+            out = nn.conv2d(x, p, relu=True)
+            grads = T.backward(T.sum_all(T.mul(out, T.Tensor(r))))
+            return [out.data] + [grads.of(t).data for t in (x, p.kernel, p.bias)]
+
+        want = [run(xd) for xd in xs]
+        got = [[], []]
+        start = threading.Barrier(2)
+
+        def work(t):
+            start.wait()
+            for _ in range(50):
+                got[t].append(run(xs[t]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for t in range(2):
+            assert len(got[t]) == 50
+            for arrays in got[t]:
+                for a, b in zip(arrays, want[t]):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_scratch_slots(self):
+        def slot_on_new_thread(slot, shape):
+            seen = []
+            th = threading.Thread(target=lambda: seen.append(nn._scratch(slot, shape, np.float64)))
+            th.start()
+            th.join(timeout=60)
+            return seen[0]
+
+        # the default stage-1 and stage-2 columns share one buffer per slot
+        a = nn._scratch("cols", (16, 144, 64), np.float64)
+        b = nn._scratch("cols", (16, 288, 16), np.float64)
         assert a.shape == (16, 144, 64) and b.shape == (16, 288, 16)
         assert a.flags.c_contiguous and b.flags.c_contiguous
         assert np.shares_memory(a, b)
-        c = nn._scratch((16, 288, 16), np.float32)
+        # slots never share memory, nor do dtypes or threads
+        g = nn._scratch("gcols", (16, 288, 16), np.float64)
+        assert not np.shares_memory(b, g)
+        c = nn._scratch("cols", (16, 288, 16), np.float32)
         assert c.dtype == np.float32 and not np.shares_memory(b, c)
+        assert not np.shares_memory(b, slot_on_new_thread("cols", (16, 288, 16)))
+        # a slot grows to its largest request and never shrinks
+        grown = nn._scratch("cols", (b.base.size + 1,), np.float64)
+        assert grown.base is not b.base and grown.base.size == b.base.size + 1
+        small = nn._scratch("cols", (4,), np.float64)
+        assert small.base is grown.base
 
 
 class TestLinear:
@@ -499,7 +557,7 @@ class TestLeadingAxes:
         for g, want in zip(gp, gp_sum):
             np.testing.assert_allclose(g, want, rtol=1e-13, atol=1e-13)
 
-    @pytest.mark.parametrize("name", ["conv2d", "avg_pool2d", "global_avg_pool"])
+    @pytest.mark.parametrize("name", ["avg_pool2d", "global_avg_pool"])
     def test_recorded_op_does_not_keep_its_input(self, name):
         rng = np.random.default_rng(42)
         op, _ = self._ops(rng)[name]
@@ -514,10 +572,9 @@ class TestLeadingAxes:
         assert alive() is None
 
     @pytest.mark.parametrize("needs_grad", [True, False])
-    def test_conv_keeps_its_input_only_when_it_needs_no_grad(self, needs_grad):
-        # backbone stage 0 reads clip frames, which need no gradient: its
-        # record keeps the frames' own array and rebuilds the columns, 2.25x
-        # the input at 3x3 stride 2, in backward; later stages keep columns
+    def test_conv_keeps_its_input_array(self, needs_grad):
+        # a recorded conv keeps its input's own array, never its columns
+        # (2.25x the input at 3x3 stride 2), and rebuilds them in backward
         rng = np.random.default_rng(43)
         conv = nn.Conv2dParams(kernel=T.Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)), requires_grad=True),
                                bias=T.Tensor(rng.uniform(-1, 1, 4), requires_grad=True),
@@ -525,6 +582,13 @@ class TestLeadingAxes:
         xd = rng.uniform(-1, 1, (4, 3, 32, 32))
         r = T.Tensor(rng.uniform(0.5, 1.5, (4, 4, 16, 16)))
         cols_nbytes = 4 * 27 * 16 * 16 * xd.itemsize
+
+        def kernel_grads(out):
+            grads = T.backward(T.sum_all(T.mul(out, r)))
+            return grads.of(conv.kernel).data, grads.of(conv.bias).data
+
+        want = kernel_grads(nn.conv2d(T.Tensor(xd.copy(), requires_grad=not needs_grad),
+                                      conv, relu=True))  # also grows the scratch
         x = T.Tensor(xd.copy(), requires_grad=needs_grad)
         alive = weakref.ref(x.data)
         tracemalloc.start()
@@ -533,23 +597,17 @@ class TestLeadingAxes:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
+        assert out.record.op == "conv2d"
         del x
         gc.collect()
-        if needs_grad:
-            assert alive() is None
-            assert held > cols_nbytes, held
-            return
         assert alive() is not None  # shared with the record, not copied
         assert held < cols_nbytes / 2, held  # the output and the mask
-        grads = T.backward(T.sum_all(T.mul(out, r)))
-        got = (grads.of(conv.kernel).data, grads.of(conv.bias).data)
-        del out, grads
+        got = kernel_grads(out)
+        del out
         gc.collect()
         assert alive() is None  # freed with the graph
-        xg = T.Tensor(xd.copy(), requires_grad=True)
-        grads = T.backward(T.sum_all(T.mul(nn.conv2d(xg, conv, relu=True), r)))
-        np.testing.assert_array_equal(got[0], grads.of(conv.kernel).data)
-        np.testing.assert_array_equal(got[1], grads.of(conv.bias).data)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 class _Watched(T.Tensor):
