@@ -2,8 +2,9 @@
 the ablation suite, and attention-heatmap export.
 
 Exit codes are a stable scripting contract: 0 success, 2 config/input
-error, 3 training divergence, 4 checkpoint mismatch, 5 output unsupported
-by the model variant. A partially failed ablation run exits 1.
+error (an unreadable or unwritable file, a full disk and running out of
+memory included), 3 training divergence, 4 checkpoint mismatch, 5 output
+unsupported by the model variant. A partially failed ablation run exits 1.
 """
 
 from __future__ import annotations
@@ -188,8 +189,8 @@ def main(argv=None) -> int:
     except UnsupportedVariant as e:
         print(f"error: {e}", file=sys.stderr)
         return 5
-    except (CastError, FileNotFoundError, NotADirectoryError, IsADirectoryError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (CastError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

@@ -9,6 +9,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import model as M
+from . import nn
 from . import tensor as T
 from .errors import ConfigError, DegenerateEval, EmptyEval, NumericalFailure, ShapeMismatch
 from .preprocess import FrameClip, load_split, read_clip, to_tsv, write_file
@@ -131,6 +132,7 @@ def score_clips(clips: Iterable[FrameClip], params: M.CastParams, cfg: M.CastCon
     return logits, scores
 
 
+@nn.workspace()
 def evaluate(checkpoint_path, manifest_path,
              eval_logit_mode: Optional[str] = None) -> EvalReport:
     """Score every clip in the manifest with a trained checkpoint.

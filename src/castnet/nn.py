@@ -5,7 +5,7 @@ Fused ops (conv2d, pooling, linear, layer_norm, softmax, dropout) register
 their own backward rules through tensor.apply_op; everything
 else is composed from tensor primitives. conv2d can apply its ReLU inside
 the same record; its forward and backward build their column matrices in
-scratch memory kept per thread, so concurrent callers never share it.
+the caller's workspace (a contextvar), which nothing keeps once it exits.
 Dropout masks come from a counter-based stream (seeding.counter_uniforms),
 one per seed. Leading axes are batch axes throughout: the map ops take
 (..., C, H, W) and the row ops (..., d). A backward rule keeps the shapes
@@ -16,9 +16,9 @@ and rebuilds the columns in backward.
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,12 +83,12 @@ def _tap_span(offset: int, stride: int, pad: int, size: int, out_size: int):
 def _im2col(xd: np.ndarray, row_spans: list, col_spans: list, h_out: int,
             w_out: int) -> np.ndarray:
     """The column matrix (n, c*kh*kw, h_out*w_out) of images (n, c, h, w),
-    in this thread's column scratch: each kernel tap copies the input it
+    in the workspace's scratch: each kernel tap copies the input it
     reads from inside the image into the zeroed (n, c, kh, kw, h_out, w_out)
     buffer, so padding is never materialised."""
     n, c = xd.shape[:2]
     kh, kw = len(row_spans), len(col_spans)
-    cols = _scratch("cols", (n, c, kh, kw, h_out, w_out), xd.dtype)
+    cols = _scratch((n, c, kh, kw, h_out, w_out), xd.dtype)
     cols.fill(0)
     for i, rs in enumerate(row_spans):
         for j, cs in enumerate(col_spans):
@@ -105,13 +105,13 @@ def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
 
     H_out = floor((H + 2*pad - kh)/stride) + 1, likewise for W. Padding is
     never materialised: each kernel tap copies only the input it reads from
-    inside the image into a zeroed column buffer, a per-thread scratch view.
+    inside the image into a zeroed column buffer in the workspace's scratch.
     A recorded conv keeps x's array, not the columns (2.25x the input at 3x3
     stride 2), and its backward rebuilds them into the same scratch with the
-    same tap loop, so they are bitwise the forward's. The backward writes the
-    column gradient into a second per-thread scratch buffer and folds it onto
-    a padded input gradient with one bincount, which adds each site's taps in
-    the same order as a loop over the taps would.
+    same tap loop, so they are bitwise the forward's. Once the kernel gradient
+    is taken they are dead: the column gradient overwrites them and is folded
+    onto a padded input gradient with one bincount, which adds each site's
+    taps in the same order as a loop over the taps would.
     """
     if x.ndim < 3:
         raise ShapeMismatch(f"conv2d expects (..., C, H, W), got {x.shape}")
@@ -158,7 +158,7 @@ def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
         if not need_gx:
             return None, gkernel, gbias
         kt = kmat.T
-        gcols = _scratch("gcols", (n, c * kh * kw, h_out * w_out), np.result_type(kt, gm))
+        gcols = _scratch(cm.shape, np.result_type(kt, gm))  # cm is dead: same buffer
         np.matmul(kt, gm, out=gcols)
         flat = np.bincount(_fold_index(n, c, hp, wp, kh, kw, s, h_out, w_out),
                            weights=gcols.reshape(-1), minlength=n * c * hp * wp)
@@ -172,34 +172,51 @@ def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
 # a per-image batched matmul summed over images; above it, tensordot's
 # contiguous copy of the column buffer dominates.
 _BATCHED_KGRAD_SITES = 64
-_scratch_local = threading.local()
+_workspace: ContextVar[dict] = ContextVar("castnet_conv_workspace")
 
 
-def _scratch(slot: str, shape: tuple, dtype) -> np.ndarray:
+@contextmanager
+def workspace():
+    """Keep the conv scratch buffers and fold indices made in this context
+    for reuse until it exits; train() and metrics.evaluate() each run in
+    one. Also a decorator. Outside any workspace, a thread started inside
+    one included, a conv allocates its buffers per call."""
+    token = _workspace.set({})
+    try:
+        yield
+    finally:
+        _workspace.reset(token)
+
+
+def _scratch(shape: tuple, dtype) -> np.ndarray:
     """An uninitialised array of this shape and dtype: a view of the prefix
-    of one buffer per thread, slot and dtype, which grows to the largest
-    request and never shrinks. Later calls for the same slot on the same
-    thread reuse it, so the caller must be done with it before the next."""
-    bufs = _scratch_local.__dict__.setdefault("bufs", {})
-    key = (slot, np.dtype(dtype))
+    of the workspace's one buffer for that dtype, which grows to the largest
+    request and never shrinks. Later requests in the same workspace reuse
+    it, so the caller must be done with it before the next."""
+    bufs = _workspace.get({})
+    dtype = np.dtype(dtype)
     size = math.prod(shape)
-    buf = bufs.get(key)
+    buf = bufs.get(dtype)
     if buf is None or buf.size < size:
-        buf = bufs[key] = np.empty(size, key[1])
+        buf = bufs[dtype] = np.empty(size, dtype)
     return buf[:size].reshape(shape)
 
 
-@functools.lru_cache(maxsize=16)
 def _fold_index(n: int, c: int, hp: int, wp: int, kh: int, kw: int, s: int,
                 h_out: int, w_out: int) -> np.ndarray:
     """For each entry of the column buffer (n, c, kh, kw, h_out, w_out), read
-    flat, its flat position in the padded image stack (n, c, hp, wp)."""
-    rows = np.arange(kh)[:, None] + s * np.arange(h_out)  # (kh, h_out)
-    cols = np.arange(kw)[:, None] + s * np.arange(w_out)  # (kw, w_out)
-    site = rows[:, None, :, None] * wp + cols[None, :, None, :]
-    planes = np.arange(n * c).reshape(n * c, 1, 1, 1, 1) * (hp * wp)
-    # left writeable: bincount copies a read-only index on every call
-    return (planes + site).reshape(-1)
+    flat, its flat position in the padded image stack (n, c, hp, wp). The
+    workspace keeps one per geometry."""
+    cache = _workspace.get({})
+    key = (n, c, hp, wp, kh, kw, s, h_out, w_out)
+    if key not in cache:
+        rows = np.arange(kh)[:, None] + s * np.arange(h_out)  # (kh, h_out)
+        cols = np.arange(kw)[:, None] + s * np.arange(w_out)  # (kw, w_out)
+        site = rows[:, None, :, None] * wp + cols[None, :, None, :]
+        planes = np.arange(n * c).reshape(n * c, 1, 1, 1, 1) * (hp * wp)
+        # left writeable: bincount copies a read-only index on every call
+        cache[key] = (planes + site).reshape(-1)
+    return cache[key]
 
 
 def avg_pool2d(x: Tensor, k: int) -> Tensor:

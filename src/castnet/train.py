@@ -10,6 +10,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import model as M
+from . import nn
 from . import tensor as T
 from .errors import ConfigError, DivergenceError, ShapeMismatch
 from .metrics import check_labels, roc_auc, score_clips
@@ -157,6 +158,7 @@ def _validate_epoch(params: M.CastParams, cfg: M.CastConfig,
     return float(np.mean(losses)), auc
 
 
+@nn.workspace()
 def train(model_cfg: M.CastConfig, train_manifest, val_manifest,
           cfg: TrainConfig, out_dir) -> TrainResult:
     """Train with seeded shuffling, save the checkpoint whenever validation

@@ -1,7 +1,11 @@
 """CLI contract: verbs, exit codes, printed output, artifact validity."""
 
 import os
+import resource
+import signal
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -314,6 +318,51 @@ def zero_classifier_ckpt(tmp_path):
     path = tmp_path / "zero.ckpt"
     M.save_checkpoint(path, cfg, params)
     return path
+
+
+def run_cli_limited(argv, limit, resource_id, signals=()):
+    """castnet with these arguments in a child process whose resource
+    resource_id is capped at limit (and these signals ignored), so no
+    test can exhaust the host: (exit code, stderr)."""
+    def cap():
+        for sig in signals:
+            signal.signal(sig, signal.SIG_IGN)
+        resource.setrlimit(resource_id, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1",
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "castnet.cli", *argv], env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+class TestResourceExhaustion:
+    """Running out of disk or memory is an input error: exit 2 and one
+    error line, never a traceback."""
+
+    def test_file_size_limit_exits_two(self, tmp_path):
+        cfg_path = write_config(tmp_path, synth={"h": 32, "w": 32})  # 98 KB clips
+        code, err = run_cli_limited(["gen", "--config", str(cfg_path)], 4096,
+                                    resource.RLIMIT_FSIZE, [signal.SIGXFSZ])
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "File too large" in err
+
+    def test_memory_limit_exits_two(self, tmp_path):
+        cfg_path = write_config(tmp_path, model={"d": 200000})
+        assert cli.main(["gen", "--config", str(cfg_path)]) == 0
+        code, err = run_cli_limited(["train", "--config", str(cfg_path)], 2 * 10 ** 9,
+                                    resource.RLIMIT_AS)
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Unable to allocate" in err
+
+    def test_memory_error_without_message_names_itself(self, tmp_path):
+        cfg_path = write_config(tmp_path, synth={"n_train": 10 ** 10})
+        code, err = run_cli_limited(["gen", "--config", str(cfg_path)], 2 * 10 ** 9,
+                                    resource.RLIMIT_AS)
+        assert (code, err) == (2, "error: MemoryError\n")
 
 
 class TestCmdEval:

@@ -591,9 +591,10 @@ class TestTapeSize:
 
     # traced bytes that the default step's graph holds once its loss is built,
     # and the traced peak of the step's forward plus backward; the clips are
-    # built and one step is run before tracing starts, so the per-thread conv
-    # scratch has its full size. The same rule as the counts. The slack covers
-    # interpreter state, not an array: the smallest conv's columns are 0.6 MB
+    # built and one step is run before tracing starts, in the same nn
+    # workspace, so its conv scratch has its full size. The same rule as the
+    # counts. The slack covers interpreter state, not an array: the smallest
+    # conv's columns are 0.6 MB
     DEFAULT_STEP_GRAPH_BYTES = 11_010_000
     DEFAULT_STEP_PEAK_BYTES = 14_800_000
     GRAPH_BYTES_SLACK = 250_000
@@ -620,9 +621,10 @@ class TestTapeSize:
     def test_default_train_step_record_count(self):
         self._assert_step_records(M.CastConfig(), self.DEFAULT_STEP_RECORDS)
 
+    @nn.workspace()
     def _traced_second_step(self, run):
         """(bytes held, peak bytes) while run(cfg, params, clips) makes the
-        default config's second step."""
+        default config's second step, in the first one's workspace."""
         cfg = M.CastConfig()
         params, clips = self._step_inputs(cfg)
         T.backward(self._step_loss(cfg, params, clips))

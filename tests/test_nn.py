@@ -1,5 +1,6 @@
 """Neural ops against naive-loop oracles, plus their gradient checks."""
 
+import contextlib
 import gc
 import inspect
 import re
@@ -301,8 +302,9 @@ class TestConv2dBackward:
 
     def test_threads_share_no_column_scratch(self):
         # a default stage-1 conv, recorded, forward and backward: both build
-        # their columns in scratch, so a thread switch mid-conv must not let
-        # the other thread's columns in
+        # their columns in the workspace's scratch, so with a workspace open
+        # in each thread a thread switch mid-conv must not let the other
+        # thread's columns in
         rng = np.random.default_rng(56)
         _, p = random_conv(rng, (16, 16, 16, 16), 32, 3, 2, 1)
         xs = [rng.uniform(-1, 1, (16, 16, 16, 16)) for _ in range(2)]
@@ -318,6 +320,7 @@ class TestConv2dBackward:
         got = [[], []]
         start = threading.Barrier(2)
 
+        @nn.workspace()
         def work(t):
             start.wait()
             for _ in range(50):
@@ -340,31 +343,60 @@ class TestConv2dBackward:
                 for a, b in zip(arrays, want[t]):
                     np.testing.assert_array_equal(a, b)
 
-    def test_scratch_slots(self):
-        def slot_on_new_thread(slot, shape):
+    def test_workspace_scratch(self, monkeypatch):
+        def on_new_thread(fn):
             seen = []
-            th = threading.Thread(target=lambda: seen.append(nn._scratch(slot, shape, np.float64)))
+            th = threading.Thread(target=lambda: seen.append(fn()))
             th.start()
             th.join(timeout=60)
             return seen[0]
 
-        # the default stage-1 and stage-2 columns share one buffer per slot
-        a = nn._scratch("cols", (16, 144, 64), np.float64)
-        b = nn._scratch("cols", (16, 288, 16), np.float64)
-        assert a.shape == (16, 144, 64) and b.shape == (16, 288, 16)
-        assert a.flags.c_contiguous and b.flags.c_contiguous
-        assert np.shares_memory(a, b)
-        # slots never share memory, nor do dtypes or threads
-        g = nn._scratch("gcols", (16, 288, 16), np.float64)
-        assert not np.shares_memory(b, g)
-        c = nn._scratch("cols", (16, 288, 16), np.float32)
-        assert c.dtype == np.float32 and not np.shares_memory(b, c)
-        assert not np.shares_memory(b, slot_on_new_thread("cols", (16, 288, 16)))
-        # a slot grows to its largest request and never shrinks
-        grown = nn._scratch("cols", (b.base.size + 1,), np.float64)
-        assert grown.base is not b.base and grown.base.size == b.base.size + 1
-        small = nn._scratch("cols", (4,), np.float64)
-        assert small.base is grown.base
+        with nn.workspace():
+            # the default stage-1 and stage-2 columns share one buffer per dtype
+            a = nn._scratch((16, 144, 64), np.float64)
+            b = nn._scratch((16, 288, 16), np.float64)
+            assert a.shape == (16, 144, 64) and b.shape == (16, 288, 16)
+            assert a.flags.c_contiguous and b.flags.c_contiguous
+            assert np.shares_memory(a, b)
+            c = nn._scratch((16, 288, 16), np.float32)
+            assert c.dtype == np.float32 and not np.shares_memory(b, c)
+            # a thread started inside a workspace is outside any
+            assert on_new_thread(lambda: nn._workspace.get(None)) is None
+            assert not np.shares_memory(b, on_new_thread(
+                lambda: nn._scratch((16, 288, 16), np.float64)))
+            # a buffer grows to its largest request and never shrinks
+            grown = nn._scratch((b.base.size + 1,), np.float64)
+            assert grown.base is not b.base and grown.base.size == b.base.size + 1
+            small = nn._scratch((4,), np.float64)
+            assert small.base is grown.base
+        # outside a workspace two requests share nothing
+        d = nn._scratch((16, 288, 16), np.float64)
+        assert not np.shares_memory(d, nn._scratch((16, 288, 16), np.float64))
+        assert not np.shares_memory(d, b)
+
+        # a second backward in one workspace reuses the first one's fold index
+        # and column buffer; outside a workspace each builds its own
+        fold, folds = nn._fold_index, []
+
+        def spy(*geometry):
+            folds.append(fold(*geometry))
+            return folds[-1]
+        x, p = random_conv(np.random.default_rng(57), (4, 4, 16, 16), 8, 3, 2, 1)
+        out, bwd = conv_backward_fn(monkeypatch, x, p, relu=True)
+        monkeypatch.setattr(nn, "_fold_index", spy)
+        g = np.ones_like(out)
+        want = bwd(g)
+        for scoped in (True, False):
+            folds.clear()
+            with nn.workspace() if scoped else contextlib.nullcontext():
+                runs = [bwd(g), bwd(g)]
+                if scoped:  # the column gradient went into the columns' buffer
+                    kept = nn._workspace.get()
+                    assert len(kept) == 2 and np.dtype(np.float64) in kept
+            assert (folds[0] is folds[1]) == scoped
+            for grads in runs:
+                for a, b in zip(grads, want):
+                    np.testing.assert_array_equal(a, b)
 
 
 class TestLinear:

@@ -345,16 +345,51 @@ def _global_statements(source: str) -> list[tuple[int, list[str]]]:
                   if isinstance(node, ast.Global))
 
 
+# per-thread or process-wide stores that outlive the call that fills them
+_LASTING_STORES = {("threading", "local"), ("functools", "lru_cache"),
+                   ("functools", "cache")}
+
+
+def _lasting_stores(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each use or import of a _LASTING_STORES name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [(node.value.id, node.attr)]
+        elif isinstance(node, ast.ImportFrom):
+            names = [(node.module, alias.name) for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, ".".join(n)) for n in names if n in _LASTING_STORES]
+    return sorted(found)
+
+
+def _scan_sources(scan) -> dict[str, list]:
+    found = {}
+    for path in sorted(Path(T.__file__).parent.glob("*.py")):
+        hits = scan(path.read_text(encoding="utf-8"))
+        if hits:
+            found[path.name] = hits
+    return found
+
+
 class TestModuleState:
     def test_no_global_statement(self):
         # state a caller changes lives in its context, so callers in
         # different threads never see each other's
-        found = {}
-        for path in sorted(Path(T.__file__).parent.glob("*.py")):
-            stmts = _global_statements(path.read_text(encoding="utf-8"))
-            if stmts:
-                found[path.name] = stmts
-        assert found == {}
+        assert _scan_sources(_global_statements) == {}
+
+    def test_no_thread_local_or_function_cache(self):
+        # buffers and caches live in a context (nn.workspace), so nothing
+        # keeps them after the run that made them
+        assert _scan_sources(_lasting_stores) == {}
+
+    def test_layout_scan_sees_lasting_stores(self):
+        src = ("import functools, threading\nfrom functools import cache, partial\n"
+               "x = threading.local()\n@functools.lru_cache(maxsize=16)\n"
+               "def f():\n    return threading.get_ident()\n")
+        assert _lasting_stores(src) == [(2, "functools.cache"), (3, "threading.local"),
+                                        (4, "functools.lru_cache")]
 
     def test_layout_scan_sees_nested_globals(self):
         src = ("x = 0\ndef f():\n    global x\n    x = 1\n"

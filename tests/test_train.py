@@ -1,6 +1,7 @@
 """Loss contract, Adam semantics (including loss scaling), the training
 loop, and the metric computations."""
 
+import gc
 import importlib
 import sys
 import threading
@@ -14,6 +15,7 @@ import pytest
 
 from castnet import metrics
 from castnet import model as M
+from castnet import nn
 from castnet import preprocess as pp
 from castnet import synth
 from castnet import tensor as T
@@ -535,6 +537,73 @@ class TestConcurrentTraining:
         for w, g in zip(want, got):
             for name in w:
                 np.testing.assert_array_equal(g[name].data, w[name].data, err_msg=name)
+
+
+class TestRunScopedMemory:
+    """train and evaluate keep their conv scratch and fold indices for the
+    run only: nothing they made is held once they return."""
+
+    @pytest.fixture(scope="class")
+    def large_clips(self, tmp_path_factory):
+        # 16-frame 128x128 clips: stage 0's columns alone are 14 MB a clip
+        root = tmp_path_factory.mktemp("large")
+        manifest = synth.generate_dataset(
+            tiny_synth_cfg(n_train=2, n_val=2, n_test=2, frames=16, h=128, w=128), root)
+        cfg = tiny_model_cfg(clip_len=16)
+        ckpt = root / "init.ckpt"
+        M.save_checkpoint(ckpt, cfg, M.init_cast_params(cfg, seed=3))
+        return {"manifest": manifest.manifest_path, "model_cfg": cfg, "ckpt": ckpt}
+
+    @staticmethod
+    def _held_after(fn) -> int:
+        """Traced bytes still held after fn() returns and its result is
+        dropped, run on a fresh thread so that no earlier call on this
+        thread has left buffers for it to reuse."""
+        held = []
+
+        def run():
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0] - before)
+        tracemalloc.start()
+        try:
+            th = threading.Thread(target=run)
+            th.start()
+            th.join(timeout=300)
+        finally:
+            tracemalloc.stop()
+        return held[0]
+
+    def test_evaluate_holds_nothing_after_it_returns(self, large_clips):
+        # the first call on any thread leaves some interpreter state
+        metrics.evaluate(large_clips["ckpt"], large_clips["manifest"])
+        held = self._held_after(
+            lambda: metrics.evaluate(large_clips["ckpt"], large_clips["manifest"]))
+        assert held <= 64 * 2 ** 10, held
+
+    def test_train_holds_nothing_after_it_returns(self, large_clips, tmp_path):
+        held = self._held_after(lambda: train(
+            large_clips["model_cfg"], large_clips["manifest"], large_clips["manifest"],
+            TrainConfig(max_epochs=1, batch_size=2), tmp_path))
+        assert held <= 2 ** 20, held
+
+    def test_one_workspace_serves_each_run(self, large_clips, tmp_path, monkeypatch):
+        # every conv of a run, validation included, reuses the run's buffers
+        scratch, seen = nn._scratch, []
+
+        def spy(shape, dtype):
+            seen.append(nn._workspace.get(None))
+            return scratch(shape, dtype)
+        monkeypatch.setattr(nn, "_scratch", spy)
+        runs = [lambda: train(large_clips["model_cfg"], large_clips["manifest"],
+                              large_clips["manifest"], TrainConfig(max_epochs=1), tmp_path),
+                lambda: metrics.evaluate(large_clips["ckpt"], large_clips["manifest"])]
+        for run in runs:
+            seen.clear()
+            run()
+            assert seen and seen[0] is not None
+            assert all(ws is seen[0] for ws in seen)
 
 
 class TestWriteReport:
