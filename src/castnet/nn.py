@@ -205,8 +205,9 @@ def _scratch(shape: tuple, dtype) -> np.ndarray:
 def _fold_index(n: int, c: int, hp: int, wp: int, kh: int, kw: int, s: int,
                 h_out: int, w_out: int) -> np.ndarray:
     """For each entry of the column buffer (n, c, kh, kw, h_out, w_out), read
-    flat, its flat position in the padded image stack (n, c, hp, wp). The
-    workspace keeps one per geometry."""
+    flat, its flat position in the padded image stack (n, c, hp, wp). A
+    workspace keeps one per geometry until it exits: a run over clips of
+    many shapes holds one int64 index, twice its float32 columns, for each."""
     cache = _workspace.get({})
     key = (n, c, hp, wp, kh, kw, s, h_out, w_out)
     if key not in cache:
