@@ -109,8 +109,8 @@ def cmd_ablate(args) -> int:
                 result = train(model_cfg, manifest, manifest, train_cfg, run_dir)
                 auc_in = evaluate(result.best_checkpoint, manifest).auc
                 auc_shift = evaluate(result.best_checkpoint, shifted_manifest).auc
-            except CastError as e:
-                failures.append(f"{variant} seed={seed}: {e}")
+            except (CastError, MemoryError) as e:
+                failures.append(f"{variant} seed={seed}: {str(e) or type(e).__name__}")
                 continue
             rows.append((variant, str(seed), auc_in, auc_shift))
 

@@ -181,6 +181,10 @@ class ModelOutput:
 
 def init_cast_params(cfg: CastConfig, seed: int) -> CastParams:
     cfg.validate()
+    n, ram = param_count(cfg), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * n > ram:  # float64 weights alone would not fit in physical memory
+        raise ConfigError(f"model has {n} weights, {8 * n / 2 ** 30:,.0f} GiB as float64; "
+                          f"this machine has {ram / 2 ** 30:,.1f} GiB")
     backbone = []
     in_ch = 3
     for i, ch in enumerate(cfg.backbone_channels):
@@ -504,5 +508,5 @@ def load_checkpoint(path) -> tuple[CastConfig, CastParams]:
                                   f"{src.shape}, config wants {target.shape}")
         if not np.all(np.isfinite(src.data)):
             raise CheckpointError(f"non-finite values in {name}")
-        target.data = src.data.astype(target.data.dtype, copy=True)
+        target.data = src.data.copy()
     return cfg, params

@@ -88,7 +88,7 @@ def _im2col(xd: np.ndarray, row_spans: list, col_spans: list, h_out: int,
     buffer, so padding is never materialised."""
     n, c = xd.shape[:2]
     kh, kw = len(row_spans), len(col_spans)
-    cols = _scratch((n, c, kh, kw, h_out, w_out), xd.dtype)
+    cols = _scratch((n, c, kh, kw, h_out, w_out))
     cols.fill(0)
     for i, rs in enumerate(row_spans):
         for j, cs in enumerate(col_spans):
@@ -157,13 +157,12 @@ def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
         gkernel = gkernel.reshape(kshape)
         if not need_gx:
             return None, gkernel, gbias
-        kt = kmat.T
-        gcols = _scratch(cm.shape, np.result_type(kt, gm))  # cm is dead: same buffer
-        np.matmul(kt, gm, out=gcols)
+        gcols = _scratch(cm.shape)  # cm is dead: same buffer
+        np.matmul(kmat.T, gm, out=gcols)
         flat = np.bincount(_fold_index(n, c, hp, wp, kh, kw, s, h_out, w_out),
                            weights=gcols.reshape(-1), minlength=n * c * hp * wp)
         gx = flat.reshape(n, c, hp, wp)[:, :, pad:pad + h, pad:pad + w]
-        return gx.astype(g.dtype, copy=False).reshape(lead + (c, h, w)), gkernel, gbias
+        return gx.reshape(lead + (c, h, w)), gkernel, gbias
 
     return apply_op("conv2d", out, inputs, bwd)
 
@@ -188,17 +187,16 @@ def workspace():
         _workspace.reset(token)
 
 
-def _scratch(shape: tuple, dtype) -> np.ndarray:
-    """An uninitialised array of this shape and dtype: a view of the prefix
-    of the workspace's one buffer for that dtype, which grows to the largest
-    request and never shrinks. Later requests in the same workspace reuse
-    it, so the caller must be done with it before the next."""
+def _scratch(shape: tuple) -> np.ndarray:
+    """An uninitialised array of this shape: a view of the prefix of the
+    workspace's one buffer, which grows to the largest request and never
+    shrinks. Later requests in the same workspace reuse it, so the caller
+    must be done with it before the next."""
     bufs = _workspace.get({})
-    dtype = np.dtype(dtype)
     size = math.prod(shape)
-    buf = bufs.get(dtype)
+    buf = bufs.get("scratch")
     if buf is None or buf.size < size:
-        buf = bufs[dtype] = np.empty(size, dtype)
+        buf = bufs["scratch"] = np.empty(size)
     return buf[:size].reshape(shape)
 
 
@@ -207,7 +205,8 @@ def _fold_index(n: int, c: int, hp: int, wp: int, kh: int, kw: int, s: int,
     """For each entry of the column buffer (n, c, kh, kw, h_out, w_out), read
     flat, its flat position in the padded image stack (n, c, hp, wp). A
     workspace keeps one per geometry until it exits: a run over clips of
-    many shapes holds one int64 index, twice its float32 columns, for each."""
+    many shapes holds one int64 index, the size of its float64 columns, for
+    each."""
     cache = _workspace.get({})
     key = (n, c, hp, wp, kh, kw, s, h_out, w_out)
     if key not in cache:
@@ -352,7 +351,7 @@ def dropout(x: Tensor, rate: float, mode: str, seed=0) -> Tensor:
     if mode == "eval" or rate == 0.0:
         return x
     keep = _keep_mask(seed, x.shape, rate)
-    scale = x.dtype.type(1.0 / (1.0 - rate))
+    scale = 1.0 / (1.0 - rate)
     # (a * keep) * scale equals a * (keep * scale) bit for bit, signed zeros
     # and inf * 0 = NaN included, and the record keeps one byte per entry
     return apply_op("dropout", x.data * keep * scale, (x,),

@@ -134,9 +134,9 @@ def to_tsv(rows) -> bytes:
 
 def normalize_frame(frame: Tensor) -> Tensor:
     """Per-channel (x - mean) / std over (..., 3, H, W) frames in [0,1]."""
-    mean = np.asarray(DEFAULT_MEAN, dtype=frame.data.dtype)[:, None, None]
-    std = np.asarray(DEFAULT_STD, dtype=frame.data.dtype)[:, None, None]
-    return Tensor((frame.data - mean) / std, dtype=frame.data.dtype)
+    mean = np.asarray(DEFAULT_MEAN)[:, None, None]
+    std = np.asarray(DEFAULT_STD)[:, None, None]
+    return Tensor((frame.data - mean) / std)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,6 @@ from .errors import (
 )
 from .kvtext import decode_utf8
 
-DEFAULT_DTYPE = np.float64
-
 _node_ids = itertools.count(1)
 _grad_enabled: ContextVar[bool] = ContextVar("castnet_grad_enabled", default=True)
 _debug_nan_checks: ContextVar[bool] = ContextVar("castnet_debug_nan_checks", default=False)
@@ -41,17 +39,16 @@ _debug_nan_checks: ContextVar[bool] = ContextVar("castnet_debug_nan_checks", def
 class Tensor:
     """A dense n-dimensional float array, optionally in a gradient graph.
 
-    data is a contiguous numpy array (float64 by default, float32 mode
-    available). A tensor created with requires_grad=True, and every recorded
-    op output, gets a node_id that stays stable for the tensor's lifetime,
-    which lets optimizer state outlive graphs. record links a recorded op
-    output to its graph.
+    data is a contiguous float64 numpy array. A tensor created with
+    requires_grad=True, and every recorded op output, gets a node_id that
+    stays stable for the tensor's lifetime, which lets optimizer state
+    outlive graphs. record links a recorded op output to its graph.
     """
 
     __slots__ = ("data", "requires_grad", "node_id", "record")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1)
         self.data = np.ascontiguousarray(arr)
@@ -70,10 +67,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -98,11 +91,10 @@ class GradientMap(dict):
     it holds no record, so it keeps no graph alive."""
 
     def of(self, param: Tensor) -> Tensor:
-        """param's gradient as a fresh array in param's dtype; zeros when
-        the loss did not reach param."""
+        """param's gradient as a fresh array; zeros when the loss did not
+        reach param."""
         g = self.get(param.node_id)
-        data = np.zeros_like(param.data) if g is None else g.data.astype(param.dtype)
-        return Tensor(data, dtype=param.dtype)
+        return Tensor(np.zeros_like(param.data) if g is None else g.data.copy())
 
 
 @contextmanager
@@ -191,7 +183,7 @@ def backward(loss: Tensor) -> GradientMap:
             prev = pending.get(nid)
             pending[nid] = gin if prev is None else prev + gin
     # every record's output was popped above, so only leaves remain
-    return GradientMap((nid, Tensor(g, dtype=g.dtype)) for nid, g in pending.items())
+    return GradientMap((nid, Tensor(g)) for nid, g in pending.items())
 
 
 # ---------------------------------------------------------------------------
@@ -207,24 +199,24 @@ def _check_shape(shape) -> tuple:
     return shape
 
 
-def zeros(shape, requires_grad=False, dtype=None) -> Tensor:
-    return Tensor(np.zeros(_check_shape(shape)), requires_grad, dtype)
+def zeros(shape, requires_grad=False) -> Tensor:
+    return Tensor(np.zeros(_check_shape(shape)), requires_grad)
 
 
-def ones(shape, requires_grad=False, dtype=None) -> Tensor:
-    return Tensor(np.ones(_check_shape(shape)), requires_grad, dtype)
+def ones(shape, requires_grad=False) -> Tensor:
+    return Tensor(np.ones(_check_shape(shape)), requires_grad)
 
 
-def uniform(shape, lo: float, hi: float, seed: int, requires_grad=False, dtype=None) -> Tensor:
+def uniform(shape, lo: float, hi: float, seed: int, requires_grad=False) -> Tensor:
     shape = _check_shape(shape)
     rng = np.random.Generator(np.random.PCG64(seed))
-    return Tensor(rng.uniform(lo, hi, size=shape), requires_grad, dtype)
+    return Tensor(rng.uniform(lo, hi, size=shape), requires_grad)
 
 
-def gaussian(shape, mu: float, sd: float, seed: int, requires_grad=False, dtype=None) -> Tensor:
+def gaussian(shape, mu: float, sd: float, seed: int, requires_grad=False) -> Tensor:
     shape = _check_shape(shape)
     rng = np.random.Generator(np.random.PCG64(seed))
-    return Tensor(mu + sd * rng.standard_normal(size=shape), requires_grad, dtype)
+    return Tensor(mu + sd * rng.standard_normal(size=shape), requires_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +345,12 @@ def softplus(a: Tensor) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    shape, dt = a.shape, a.data.dtype
+    shape = a.shape
 
     def bwd(g):
-        return (np.full(shape, g.reshape(-1)[0], dtype=dt),)
+        return (np.full(shape, g.reshape(-1)[0]),)
 
-    return apply_op("sum_all", np.array([a.data.sum()], dtype=dt), (a,), bwd)
+    return apply_op("sum_all", np.array([a.data.sum()]), (a,), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -516,24 +508,20 @@ def pack_text(text: str, what: str, fmt: str = "H") -> bytes:
 
 
 # tensors: magic, version u16, dtype u8 (0=f32, 1=f64), rank u8, dims as
-# u64, then raw little-endian values.
+# u64, then raw little-endian values. castnet writes f64 and reads either
+# into float64.
 
 TENSOR_MAGIC = b"CASTTNSR"
 TENSOR_VERSION = 1
-_DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 # the longest header: magic, version, dtype tag, rank and 255 dims
 TENSOR_HEADER_MAX = len(TENSOR_MAGIC) + 4 + 8 * 255
 
 
 def tensor_to_bytes(t: Tensor) -> bytes:
-    tag = _DTYPE_TAGS.get(t.data.dtype)
-    if tag is None:
-        raise FormatError(f"unsupported dtype {t.data.dtype}")
-    head = pack_magic(TENSOR_MAGIC, TENSOR_VERSION) + pack_struct(f"BB{t.ndim}Q", tag, t.ndim,
+    head = pack_magic(TENSOR_MAGIC, TENSOR_VERSION) + pack_struct(f"BB{t.ndim}Q", 1, t.ndim,
                                                                   *t.shape)
-    payload = np.ascontiguousarray(t.data, dtype=_TAG_DTYPES[tag].newbyteorder("<")).tobytes()
-    return head + payload
+    return head + np.ascontiguousarray(t.data, dtype="<f8").tobytes()
 
 
 def tensor_header(buf, offset: int = 0,
@@ -564,7 +552,8 @@ def tensor_header(buf, offset: int = 0,
 
 
 def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[Tensor, int]:
-    """Parse one serialized tensor; returns (tensor, offset past it)."""
+    """Parse one serialized tensor, f32 or f64, into a float64 tensor;
+    returns (tensor, offset past it)."""
     dt, dims, start, end = tensor_header(buf, offset)
     data = np.frombuffer(buf, dtype=dt, count=(end - start) // dt.itemsize, offset=start)
-    return Tensor(data.reshape(dims), dtype=dt.newbyteorder("=")), end
+    return Tensor(data.reshape(dims)), end

@@ -56,7 +56,7 @@ def bce_with_logits(logit: Union[Tensor, float], y):
     if not isinstance(logit, Tensor):
         return bce_with_logits(Tensor([float(logit)]), y).item()
     sign = np.broadcast_to(1.0 - 2.0 * check_labels(y), logit.shape)
-    return T.softplus(T.mul(logit, Tensor(sign, dtype=logit.dtype)))
+    return T.softplus(T.mul(logit, Tensor(sign)))
 
 
 class AdamState:
@@ -89,7 +89,7 @@ def adam_step(params: Sequence[Tensor], grads: GradientMap, state: AdamState,
         if p.node_id is None:
             raise ConfigError("adam_step updates only tensors made with requires_grad=True")
         g = grads.get(p.node_id)
-        gd = np.zeros_like(p.data) if g is None else g.data.astype(p.dtype, copy=False)
+        gd = np.zeros_like(p.data) if g is None else g.data
         if gd.shape != p.data.shape:
             raise ShapeMismatch(f"gradient shape {gd.shape} != param {p.data.shape}")
         raw.append(gd)

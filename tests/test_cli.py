@@ -350,13 +350,25 @@ class TestResourceExhaustion:
         assert "File too large" in err
 
     def test_memory_limit_exits_two(self, tmp_path):
-        cfg_path = write_config(tmp_path, model={"d": 200000})
-        assert cli.main(["gen", "--config", str(cfg_path)]) == 0
-        code, err = run_cli_limited(["train", "--config", str(cfg_path)], 2 * 10 ** 9,
+        # 800000x800000 frames: numpy's own allocation fails
+        cfg_path = write_config(tmp_path, synth={"h": 800000, "w": 800000})
+        code, err = run_cli_limited(["gen", "--config", str(cfg_path)], 2 * 10 ** 9,
                                     resource.RLIMIT_AS)
         assert code == 2, err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Unable to allocate" in err
+
+    @pytest.mark.parametrize("model", [{"encoder_layers": 100000000}, {"d": 200000}],
+                             ids=["layers", "width"])
+    def test_model_larger_than_memory_exits_two(self, tmp_path, model):
+        # refused from the weight count before any weight is built
+        cfg_path = write_config(tmp_path, model=model)
+        assert cli.main(["gen", "--config", str(cfg_path)]) == 0
+        code, err = run_cli_limited(["train", "--config", str(cfg_path)], 2 * 10 ** 9,
+                                    resource.RLIMIT_AS)
+        assert code == 2, err
+        assert err.startswith("error: model has ") and err.count("\n") == 1, err
+        assert " weights, " in err and " GiB" in err
 
     def test_memory_error_without_message_names_itself(self, tmp_path):
         cfg_path = write_config(tmp_path, synth={"n_train": 10 ** 10})
@@ -599,6 +611,28 @@ class TestCmdAblate:
         body = table.strip().splitlines()[1:]
         assert len(body) == 10  # 5 surviving variants x (seed row + mean row)
         assert not any(r.startswith("no_projection") for r in body)
+
+    def test_variant_out_of_memory_fails_only_its_run(self, tmp_path, capsys, monkeypatch):
+        real_train = cli.train
+
+        def train(model_cfg, *args):
+            if model_cfg.variant == "multi_scale":
+                raise MemoryError("Unable to allocate 9.00 GiB")
+            return real_train(model_cfg, *args)
+        monkeypatch.setattr(cli, "train", train)
+        cfg_path = write_config(
+            tmp_path,
+            ablation={"seeds": "0", "shift_amplitude_scale": 0.7,
+                      "shift_background": "none", "shift_region_jitter": 0.0})
+        assert cli.main(["ablate", "--config", str(cfg_path)]) == 1
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("FAILED")]
+        assert failed == ["FAILED multi_scale seed=0: Unable to allocate 9.00 GiB"]
+        table = (tmp_path / "out" / "ablate" / "ablation.tsv").read_text()
+        body = table.strip().splitlines()[1:]
+        assert len(body) == 10  # 5 surviving variants x (seed row + mean row)
+        assert sorted({r.split("\t")[0] for r in body}) == sorted(
+            set(M.VARIANTS) - {"multi_scale"})
 
     def test_all_variants_produce_rows(self, tmp_path, capsys):
         cfg_path = write_config(

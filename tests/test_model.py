@@ -544,41 +544,6 @@ class TestBatchedForward:
             M.forward([], params, cfg)
 
 
-class TestFloat32:
-    @pytest.mark.parametrize("variant", M.VARIANTS)
-    def test_train_step_stays_float32(self, variant, monkeypatch):
-        """An f32 model on f32 clips: every op output and every gradient of a
-        train-mode forward and backward is f32."""
-        cfg = tiny_cfg(variant=variant)
-        params = M.init_cast_params(cfg, seed=80)
-        for p in params.all_tensors():
-            p.data = p.data.astype(np.float32)
-        clips = [FrameClip(frames=T.Tensor(make_clip(cfg, seed=81 + i).frames.data,
-                                           dtype=np.float32), label=i % 2)
-                 for i in range(2)]
-        seen = []
-        real_apply = T.apply_op
-
-        def recording_apply(op, out_data, inputs, backward_fn):
-            def bwd(g):
-                grads = backward_fn(g)
-                seen.extend((f"{op} grad", np.asarray(gi).dtype)
-                            for gi in grads if gi is not None)
-                return grads
-            seen.append((op, out_data.dtype))
-            return real_apply(op, out_data, inputs, bwd)
-        monkeypatch.setattr(T, "apply_op", recording_apply)
-        monkeypatch.setattr(nn, "apply_op", recording_apply)
-
-        out = M.forward(clips, params, cfg, mode="train", seed=[1, 2])
-        loss = T.sum_all(bce_with_logits(out.clip_logit, [c.label for c in clips]))
-        grads = T.backward(loss)
-        seen += [("param grad", g.data.dtype) for g in grads.values()]
-        assert {"dropout", "conv2d", "matmul", "dropout grad", "param grad"} <= {
-            op for op, _ in seen}
-        assert sorted({op for op, dt in seen if dt != np.float32}) == []
-
-
 class TestTapeSize:
     # op records that one train step's backward walks: those reachable from
     # the loss; a change that moves a count reports the new count, and the old

@@ -170,12 +170,11 @@ def conv_backward_fn(monkeypatch, x, p, relu=False):
     return out.data, captured[-1]
 
 
-def random_conv(rng, x_shape, out_ch, k, stride, pad, dtype=np.float64):
-    x = T.Tensor(rng.uniform(-1, 1, x_shape), requires_grad=True, dtype=dtype)
+def random_conv(rng, x_shape, out_ch, k, stride, pad):
+    x = T.Tensor(rng.uniform(-1, 1, x_shape), requires_grad=True)
     p = nn.Conv2dParams(
-        kernel=T.Tensor(rng.uniform(-1, 1, (out_ch, x_shape[-3], k, k)),
-                        requires_grad=True, dtype=dtype),
-        bias=T.Tensor(rng.uniform(-0.5, 0.5, out_ch), requires_grad=True, dtype=dtype),
+        kernel=T.Tensor(rng.uniform(-1, 1, (out_ch, x_shape[-3], k, k)), requires_grad=True),
+        bias=T.Tensor(rng.uniform(-0.5, 0.5, out_ch), requires_grad=True),
         stride=stride, padding=pad)
     return x, p
 
@@ -262,19 +261,6 @@ class TestConv2dBackward:
                     want[:, :, rs[1], cs[1]] += gcols[:, :, i, j, rs[0], cs[0]]
         np.testing.assert_array_equal(gx, want.reshape(shape))
 
-    @pytest.mark.parametrize("x_shape", [(2, 3, 16, 16), (2, 3, 8, 8)])
-    def test_float32_input_keeps_float32_gradients(self, monkeypatch, x_shape):
-        rng = np.random.default_rng(54)
-        x, p = random_conv(rng, x_shape, 4, 3, 2, 1, dtype=np.float32)
-        out, bwd = conv_backward_fn(monkeypatch, x, p, relu=True)
-        assert out.dtype == np.float32
-        grads = bwd(np.ones_like(out))
-        assert [g.dtype for g in grads] == [np.float32] * 3
-        x64, p64 = random_conv(np.random.default_rng(54), x_shape, 4, 3, 2, 1)
-        _, bwd64 = conv_backward_fn(monkeypatch, x64, p64, relu=True)
-        for g32, g64 in zip(grads, bwd64(np.ones(out.shape))):
-            np.testing.assert_allclose(g32, g64, rtol=1e-4, atol=1e-4)
-
     def test_threads_share_no_scratch_buffer(self, monkeypatch):
         rng = np.random.default_rng(55)
         x, p = random_conv(rng, (4, 4, 16, 16), 8, 3, 2, 1)
@@ -352,26 +338,25 @@ class TestConv2dBackward:
             return seen[0]
 
         with nn.workspace():
-            # the default stage-1 and stage-2 columns share one buffer per dtype
-            a = nn._scratch((16, 144, 64), np.float64)
-            b = nn._scratch((16, 288, 16), np.float64)
+            # the default stage-1 and stage-2 columns share the one buffer
+            a = nn._scratch((16, 144, 64))
+            b = nn._scratch((16, 288, 16))
             assert a.shape == (16, 144, 64) and b.shape == (16, 288, 16)
+            assert a.dtype == b.dtype == np.float64
             assert a.flags.c_contiguous and b.flags.c_contiguous
             assert np.shares_memory(a, b)
-            c = nn._scratch((16, 288, 16), np.float32)
-            assert c.dtype == np.float32 and not np.shares_memory(b, c)
             # a thread started inside a workspace is outside any
             assert on_new_thread(lambda: nn._workspace.get(None)) is None
             assert not np.shares_memory(b, on_new_thread(
-                lambda: nn._scratch((16, 288, 16), np.float64)))
+                lambda: nn._scratch((16, 288, 16))))
             # a buffer grows to its largest request and never shrinks
-            grown = nn._scratch((b.base.size + 1,), np.float64)
+            grown = nn._scratch((b.base.size + 1,))
             assert grown.base is not b.base and grown.base.size == b.base.size + 1
-            small = nn._scratch((4,), np.float64)
+            small = nn._scratch((4,))
             assert small.base is grown.base
         # outside a workspace two requests share nothing
-        d = nn._scratch((16, 288, 16), np.float64)
-        assert not np.shares_memory(d, nn._scratch((16, 288, 16), np.float64))
+        d = nn._scratch((16, 288, 16))
+        assert not np.shares_memory(d, nn._scratch((16, 288, 16)))
         assert not np.shares_memory(d, b)
 
         # a second backward in one workspace reuses the first one's fold index
@@ -392,7 +377,7 @@ class TestConv2dBackward:
                 runs = [bwd(g), bwd(g)]
                 if scoped:  # the column gradient went into the columns' buffer
                     kept = nn._workspace.get()
-                    assert len(kept) == 2 and np.dtype(np.float64) in kept
+                    assert len(kept) == 2 and "scratch" in kept
             assert (folds[0] is folds[1]) == scoped
             for grads in runs:
                 for a, b in zip(grads, want):
@@ -929,30 +914,26 @@ class TestDropout:
         with pytest.raises(ShapeMismatch):
             nn.dropout(x, 0.4, "train", seed=[[1, 2], [3, 4]])
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_matches_float_factor_bit_for_bit(self, dtype, monkeypatch):
+    def test_matches_float_factor_bit_for_bit(self, monkeypatch):
         # the reference multiplies by the float factor keep * 1/(1-rate);
         # -0.0, x * 0 of a negative x and NaN from inf * 0 must match too
         specials = np.array([-1.5, -0.0, 0.0, np.inf, -np.inf, np.nan, 2.0, -3e-300])
-        xd = np.resize(specials, (4, 40)).astype(dtype)
-        gd = np.resize(specials[::-1], (4, 40)).astype(dtype)
+        xd = np.resize(specials, (4, 40))
+        gd = np.resize(specials[::-1], (4, 40))
         captured = []
 
         def capture(op, out_data, inputs, backward_fn):
             captured.append(backward_fn)
             return T.apply_op(op, out_data, inputs, backward_fn)
         monkeypatch.setattr(nn, "apply_op", capture)
-        factor = nn._keep_mask(8, xd.shape, 0.4) * dtype(1.0 / (1.0 - 0.4))
-        bits = np.uint64 if dtype == np.float64 else np.uint32
+        factor = nn._keep_mask(8, xd.shape, 0.4) * (1.0 / (1.0 - 0.4))
         with np.errstate(invalid="ignore"):  # inf * 0
-            out = nn.dropout(T.Tensor(xd, requires_grad=True, dtype=dtype), 0.4, "train",
-                             seed=8)
+            out = nn.dropout(T.Tensor(xd, requires_grad=True), 0.4, "train", seed=8)
             (gx,) = captured[-1](gd)
             want_out, want_gx = xd * factor, gd * factor
-        assert out.dtype == gx.dtype == dtype
         assert np.isnan(want_out).any() and np.signbit(want_out[want_out == 0]).any()
-        np.testing.assert_array_equal(out.data.view(bits), want_out.view(bits))
-        np.testing.assert_array_equal(gx.view(bits), want_gx.view(bits))
+        np.testing.assert_array_equal(out.data.view(np.uint64), want_out.view(np.uint64))
+        np.testing.assert_array_equal(gx.view(np.uint64), want_gx.view(np.uint64))
 
 
 def single_head_attention_oracle(x, wq, wk, wv, wo):

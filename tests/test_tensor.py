@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from castnet import model as M
+from castnet import preprocess as P
 from castnet import tensor as T
 from castnet.errors import (
     DomainError,
@@ -43,10 +45,6 @@ class TestConstruction:
     def test_invalid_shapes_rejected(self, shape):
         with pytest.raises(InvalidShape):
             T.zeros(shape)
-
-    def test_float32_mode(self):
-        t = T.ones((2, 3), dtype=np.float32)
-        assert t.data.dtype == np.float32
 
 
 class TestMatmul:
@@ -189,15 +187,6 @@ class TestBackward:
         np.testing.assert_array_equal(ga, [1.0, 1.0])
         np.testing.assert_array_equal(gb, [1.0, 1.0])
         assert not np.shares_memory(ga, gb)
-
-    def test_float32_leaf_in_float64_graph_gets_float32_gradient(self):
-        w = T.Tensor([0.5, -1.5], requires_grad=True, dtype=np.float32)
-        r = T.Tensor([2.0, 3.0])
-        grads = T.backward(T.sum_all(T.mul(w, r)))
-        assert grads[w.node_id].dtype == np.float64  # the ops ran in float64
-        g = grads.of(w)
-        assert g.dtype == np.float32
-        np.testing.assert_array_equal(g.data, [2.0, 3.0])
 
     def test_non_scalar_loss_rejected(self):
         w = T.Tensor([1.0, 2.0], requires_grad=True)
@@ -364,6 +353,32 @@ def _lasting_stores(source: str) -> list[tuple[int, str]]:
     return sorted(found)
 
 
+# how a module can name numpy's 32-bit float
+_FLOAT32_SPELLINGS = {"float32", "f4", "<f4", "=f4", ">f4"}
+
+
+def _dtype_knobs(source: str) -> list[tuple[str, str]]:
+    """(top-level statement, what) for each parameter named dtype and each
+    float32 name or dtype string in a module's source. A top-level
+    statement is named by the function, class or variable it defines."""
+    found = []
+    for top in ast.parse(source).body:
+        targets = getattr(top, "targets", [top])
+        where = getattr(top, "name", None) or getattr(targets[0], "id", str(top.lineno))
+        for node in ast.walk(top):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                found += [(where, f"{getattr(node, 'name', 'lambda')}(dtype)")
+                          for arg in args if arg.arg == "dtype"]
+            elif isinstance(node, ast.Attribute) and node.attr in _FLOAT32_SPELLINGS:
+                found.append((where, node.attr))
+            elif isinstance(node, ast.Name) and node.id in _FLOAT32_SPELLINGS:
+                found.append((where, node.id))
+            elif isinstance(node, ast.Constant) and node.value in _FLOAT32_SPELLINGS:
+                found.append((where, repr(node.value)))
+    return found
+
+
 def _scan_sources(scan) -> dict[str, list]:
     found = {}
     for path in sorted(Path(T.__file__).parent.glob("*.py")):
@@ -391,6 +406,21 @@ class TestModuleState:
         assert _lasting_stores(src) == [(2, "functools.cache"), (3, "threading.local"),
                                         (4, "functools.lru_cache")]
 
+    def test_float64_only(self):
+        # every tensor holds float64: no function takes a dtype, and float32
+        # is named only where a tensor read maps the f32 tag to float64
+        assert _scan_sources(_dtype_knobs) == {"tensor.py": [("_TAG_DTYPES", "'<f4'")]}
+
+    def test_layout_scan_sees_dtype_knobs(self):
+        src = ('"""float32 in a docstring is prose."""\nimport numpy as np\n'
+               "def zeros(shape, dtype=None):\n    return np.zeros(shape, dtype)\n"
+               "class C:\n    def m(self, *, dtype):\n        return np.float32(1)\n"
+               "f = lambda x, dtype: x\nTAGS = {0: '<f4', 1: 'f8'}\n"
+               "def g(x):\n    return x.astype(float32)\n")
+        assert _dtype_knobs(src) == [("zeros", "zeros(dtype)"), ("C", "m(dtype)"),
+                                     ("C", "float32"), ("f", "lambda(dtype)"),
+                                     ("TAGS", "'<f4'"), ("g", "float32")]
+
     def test_layout_scan_sees_nested_globals(self):
         src = ("x = 0\ndef f():\n    global x\n    x = 1\n"
                "    def g():\n        global y, z\n"
@@ -407,13 +437,31 @@ class TestSerialization:
         assert back.data.dtype == np.float64
         assert np.array_equal(back.data, t.data)
 
-    def test_round_trip_f32(self):
-        t = T.uniform((7,), -1, 1, seed=2, dtype=np.float32)
-        buf = T.tensor_to_bytes(t)
-        back, end = T.tensor_from_bytes(buf)
-        assert end == len(buf)
-        assert back.data.dtype == np.float32
-        assert np.array_equal(back.data, t.data)
+    def test_f32_files_read_as_float64(self, tmp_path):
+        # castnet writes only f64, but an f32-tagged tensor or clip made
+        # elsewhere reads into float64 and scores as the same values stored f64
+        cfg = M.CastConfig(backbone_channels=(4, 8), d=8, encoder_layers=1, heads=2,
+                           ffn_dim=16, fusion_heads=2, clip_len=2)
+        vals = np.random.default_rng(2).uniform(0, 1, (2, 3, 8, 8)).astype(np.float32)
+        f32 = (T.pack_magic(T.TENSOR_MAGIC, T.TENSOR_VERSION)
+               + T.pack_struct("BB4Q", 0, 4, *vals.shape) + vals.astype("<f4").tobytes())
+        back, end = T.tensor_from_bytes(f32)
+        assert end == len(f32)
+        assert back.data.dtype == np.float64
+        np.testing.assert_array_equal(back.data, vals)
+
+        clips = []
+        for name, frames in (("f32", f32), ("f64", T.tensor_to_bytes(T.Tensor(vals)))):
+            path = tmp_path / f"{name}.clip"
+            path.write_bytes(T.pack_magic(P.CLIP_MAGIC, P.CLIP_VERSION) + T.pack_struct("b", 1)
+                             + T.pack_text(name, "source_id") + T.pack_struct("dd", 30.0, 1.0)
+                             + frames)
+            clips.append(P.read_clip(path))
+        assert clips[0].frames.data.dtype == np.float64
+        np.testing.assert_array_equal(clips[0].frames.data, vals)
+        params = M.init_cast_params(cfg, seed=3)
+        logits = [M.forward([c], params, cfg).clip_logit.data for c in clips]
+        assert logits[0].tobytes() == logits[1].tobytes()
 
     def test_header_layout(self):
         buf = T.tensor_to_bytes(T.zeros((2, 3)))

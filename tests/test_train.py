@@ -592,9 +592,9 @@ class TestRunScopedMemory:
         # every conv of a run, validation included, reuses the run's buffers
         scratch, seen = nn._scratch, []
 
-        def spy(shape, dtype):
+        def spy(shape):
             seen.append(nn._workspace.get(None))
-            return scratch(shape, dtype)
+            return scratch(shape)
         monkeypatch.setattr(nn, "_scratch", spy)
         runs = [lambda: train(large_clips["model_cfg"], large_clips["manifest"],
                               large_clips["manifest"], TrainConfig(max_epochs=1), tmp_path),
