@@ -6,7 +6,7 @@ their own backward rules through tensor.apply_op; everything
 else is composed from tensor primitives. conv2d can apply its ReLU inside
 the same record; its forward and backward build their column matrices in
 the caller's workspace (a contextvar), which nothing keeps once it exits.
-Dropout masks come from a counter-based stream (seeding.counter_uniforms),
+Dropout masks come from a counter-based stream (seeding.counter_bits),
 one per seed. Leading axes are batch axes throughout: the map ops take
 (..., C, H, W) and the row ops (..., d). A backward rule keeps the shapes
 and arrays it needs, never an input Tensor, so a recorded op does not keep
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, InvalidRate, ShapeMismatch
-from .seeding import counter_uniforms, derive_seed
+from .seeding import counter_bits, derive_seed
 from .tensor import Tensor, apply_op
 
 
@@ -127,8 +127,8 @@ def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
     w_out = (wp - kw) // s + 1
     xd = x.data.reshape(-1, c, h, w)
     n = xd.shape[0]
-    row_spans = [_tap_span(i, s, pad, h, h_out) for i in range(kh)]
-    col_spans = [_tap_span(j, s, pad, w, w_out) for j in range(kw)]
+    geometry = (n, c, h, w, kh, kw, s, pad, h_out, w_out)
+    row_spans, col_spans, _ = _conv_geometry(*geometry)
     kshape = p.kernel.shape
     kmat = p.kernel.data.reshape(out_ch, -1)
     out = np.matmul(kmat, _im2col(xd, row_spans, col_spans, h_out, w_out))
@@ -159,7 +159,7 @@ def conv2d(x: Tensor, p: Conv2dParams, relu: bool = False) -> Tensor:
             return None, gkernel, gbias
         gcols = _scratch(cm.shape)  # cm is dead: same buffer
         np.matmul(kmat.T, gm, out=gcols)
-        flat = np.bincount(_fold_index(n, c, hp, wp, kh, kw, s, h_out, w_out),
+        flat = np.bincount(_fold_index(*geometry),
                            weights=gcols.reshape(-1), minlength=n * c * hp * wp)
         gx = flat.reshape(n, c, hp, wp)[:, :, pad:pad + h, pad:pad + w]
         return gx.reshape(lead + (c, h, w)), gkernel, gbias
@@ -176,10 +176,11 @@ _workspace: ContextVar[dict] = ContextVar("castnet_conv_workspace")
 
 @contextmanager
 def workspace():
-    """Keep the conv scratch buffers and fold indices made in this context
-    for reuse until it exits; train() and metrics.evaluate() each run in
-    one. Also a decorator. Outside any workspace, a thread started inside
-    one included, a conv allocates its buffers per call."""
+    """Keep the conv scratch buffers and geometries (tap spans and fold
+    indices) made in this context for reuse until it exits; train() and
+    metrics.evaluate() each run in one. Also a decorator. Outside any
+    workspace, a thread started inside one included, a conv allocates its
+    buffers per call."""
     token = _workspace.set({})
     try:
         yield
@@ -200,23 +201,37 @@ def _scratch(shape: tuple) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _fold_index(n: int, c: int, hp: int, wp: int, kh: int, kw: int, s: int,
+def _conv_geometry(n: int, c: int, h: int, w: int, kh: int, kw: int, s: int,
+                   pad: int, h_out: int, w_out: int) -> list:
+    """[row_spans, col_spans, fold index] of one conv geometry: the _tap_span
+    of each kernel row and column, and the fold index once a backward has
+    asked _fold_index for it (None before). A workspace keeps one per
+    geometry until it exits; outside any, each call builds its own."""
+    cache = _workspace.get({})
+    key = (n, c, h, w, kh, kw, s, pad)
+    if key not in cache:
+        cache[key] = [[_tap_span(i, s, pad, h, h_out) for i in range(kh)],
+                      [_tap_span(j, s, pad, w, w_out) for j in range(kw)], None]
+    return cache[key]
+
+
+def _fold_index(n: int, c: int, h: int, w: int, kh: int, kw: int, s: int, pad: int,
                 h_out: int, w_out: int) -> np.ndarray:
     """For each entry of the column buffer (n, c, kh, kw, h_out, w_out), read
     flat, its flat position in the padded image stack (n, c, hp, wp). A
-    workspace keeps one per geometry until it exits: a run over clips of
-    many shapes holds one int64 index, the size of its float64 columns, for
-    each."""
-    cache = _workspace.get({})
-    key = (n, c, hp, wp, kh, kw, s, h_out, w_out)
-    if key not in cache:
+    workspace keeps it with the geometry's spans until it exits: a run over
+    clips of many shapes holds one int64 index, the size of its float64
+    columns, for each."""
+    geometry = _conv_geometry(n, c, h, w, kh, kw, s, pad, h_out, w_out)
+    if geometry[2] is None:
+        hp, wp = h + 2 * pad, w + 2 * pad
         rows = np.arange(kh)[:, None] + s * np.arange(h_out)  # (kh, h_out)
         cols = np.arange(kw)[:, None] + s * np.arange(w_out)  # (kw, w_out)
         site = rows[:, None, :, None] * wp + cols[None, :, None, :]
         planes = np.arange(n * c).reshape(n * c, 1, 1, 1, 1) * (hp * wp)
         # left writeable: bincount copies a read-only index on every call
-        cache[key] = (planes + site).reshape(-1)
-    return cache[key]
+        geometry[2] = (planes + site).reshape(-1)
+    return geometry[2]
 
 
 def avg_pool2d(x: Tensor, k: int) -> Tensor:
@@ -373,8 +388,9 @@ def _keep_mask(seed, shape: tuple, rate: float) -> np.ndarray:
     if seeds.shape != shape[:seeds.ndim]:
         raise ShapeMismatch(f"dropout seeds of shape {seeds.shape} for leading axes "
                             f"of shape {shape}")
-    u = counter_uniforms(seeds, int(np.prod(shape[seeds.ndim:], dtype=np.int64)))
-    return (u >= rate).reshape(shape)
+    bits = counter_bits(seeds, int(np.prod(shape[seeds.ndim:], dtype=np.int64)))
+    # bits * 2**-53 >= rate, exactly: rate * 2**53 is exact, bits are integers
+    return (bits >= np.uint64(math.ceil(rate * 2.0 ** 53))).reshape(shape)
 
 
 def _is_int_seed(seed) -> bool:

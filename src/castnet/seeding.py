@@ -27,11 +27,12 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def counter_uniforms(seeds: np.ndarray, n: int) -> np.ndarray:
-    """n uniforms in [0, 1) per seed, shape seeds.shape + (n,): entry i of
-    seed s is the top 53 bits of _splitmix64(s + i*gamma) times 2**-53, so
-    each seed's stream is its own and needs no generator state (a
-    counter-based generator, as in Salmon et al., SC 2011)."""
+def counter_bits(seeds: np.ndarray, n: int) -> np.ndarray:
+    """n 53-bit integers per seed as uint64, shape seeds.shape + (n,): entry
+    i of seed s is the top 53 bits of _splitmix64(s + i*gamma), so each
+    seed's stream is its own and needs no generator state (a counter-based
+    generator, as in Salmon et al., SC 2011). Times 2**-53, each is a
+    uniform in [0, 1)."""
     z = np.asarray(seeds, dtype=np.uint64)[..., None] + (
         np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA))
     z ^= z >> np.uint64(30)
@@ -39,7 +40,7 @@ def counter_uniforms(seeds: np.ndarray, n: int) -> np.ndarray:
     z ^= z >> np.uint64(27)
     z *= np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return z >> np.uint64(11)
 
 
 def derive_seed(base, *tokens):

@@ -1,11 +1,15 @@
 """CLI contract: verbs, exit codes, printed output, artifact validity."""
 
+import hashlib
 import os
 import resource
+import select
+import shutil
 import signal
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -653,6 +657,166 @@ class TestCmdAblate:
             fields = r.split("\t")
             assert 0.0 <= float(fields[2]) <= 1.0
             assert 0.0 <= float(fields[3]) <= 1.0
+
+
+ONE_SEED = {"seeds": "0", "shift_amplitude_scale": 0.7, "shift_background": "none",
+            "shift_region_jitter": 0.0}
+
+
+def open_fds() -> set:
+    return set(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture()
+def in_child(monkeypatch):
+    """Wraps cli.train so that a forked child runs a chosen variant's seed-0
+    job. This process always runs job 0 (the first variant of the first
+    seed): it waits in that run until a child has begun the chosen one, so
+    a child takes every job in between and no timing decides who runs what.
+    The child calls action() at the start of the chosen run."""
+    parent, (read_end, write_end) = os.getpid(), os.pipe()
+    real_train = cli.train
+
+    def arm(variant, action=lambda: None):
+        first = sorted(M.VARIANTS)[0]
+
+        def train(model_cfg, *args):
+            seed = args[2].seed
+            if os.getpid() == parent and (model_cfg.variant, seed) == (first, 0):
+                assert select.select([read_end], [], [], 300)[0], "no child began its run"
+                os.read(read_end, 1)
+            elif os.getpid() != parent and (model_cfg.variant, seed) == (variant, 0):
+                os.write(write_end, b"x")
+                action()
+            return real_train(model_cfg, *args)
+        monkeypatch.setattr(cli, "train", train)
+
+    yield arm
+    os.close(read_end)
+    os.close(write_end)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestAblateWorkers:
+    def _tree(self, root):
+        return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    def test_outputs_do_not_depend_on_cpu_count(self, tmp_path, capsys, monkeypatch,
+                                                in_child):
+        cfg_path = write_config(tmp_path, ablation=dict(ONE_SEED, seeds="0,1"))
+        runs = {}
+        for cpus in (1, 2, 3):
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            if cpus > 1:
+                in_child("full")  # job 1: a child surely runs one job
+            fds = open_fds()
+            code = cli.main(["ablate", "--config", str(cfg_path)])
+            assert open_fds() == fds
+            assert_no_child_left()
+            out, err = capsys.readouterr()
+            runs[cpus] = (code, out, err, self._tree(tmp_path / "out" / "ablate"))
+        assert runs[1][0] == 0 and len(runs[1][3]) > 50
+        assert runs[2] == runs[1]
+        assert runs[3] == runs[1]
+
+    def test_out_of_memory_in_a_child_fails_only_its_run(self, tmp_path, capsys,
+                                                         monkeypatch, in_child):
+        def out_of_memory():
+            raise MemoryError("Unable to allocate 9.00 GiB")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        in_child("multi_scale", out_of_memory)
+        cfg_path = write_config(tmp_path, ablation=ONE_SEED)
+        fds = open_fds()
+        assert cli.main(["ablate", "--config", str(cfg_path)]) == 1
+        assert open_fds() == fds
+        assert_no_child_left()
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("FAILED")]
+        assert failed == ["FAILED multi_scale seed=0: Unable to allocate 9.00 GiB"]
+        body = (tmp_path / "out" / "ablate" / "ablation.tsv").read_text().splitlines()[1:]
+        assert sorted({r.split("\t")[0] for r in body}) == sorted(
+            set(M.VARIANTS) - {"multi_scale"})
+
+    def test_os_error_in_a_child_exits_two(self, tmp_path, capsys, monkeypatch, in_child):
+        def denied():
+            raise PermissionError("ablate output is read-only")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        in_child("multi_scale", denied)
+        cfg_path = write_config(tmp_path, ablation=ONE_SEED)
+        fds = open_fds()
+        assert cli.main(["ablate", "--config", str(cfg_path)]) == 2
+        assert open_fds() == fds
+        assert_no_child_left()
+        assert capsys.readouterr().err.splitlines() == ["error: ablate output is read-only"]
+        assert not (tmp_path / "out" / "ablate" / "ablation.tsv").exists()
+
+    def test_killed_child_fails_only_the_run_it_held(self, tmp_path, capsys, monkeypatch,
+                                                     in_child):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        in_child("multi_scale", lambda: os.kill(os.getpid(), signal.SIGKILL))
+        cfg_path = write_config(tmp_path, ablation=ONE_SEED)
+        fds = open_fds()
+        assert cli.main(["ablate", "--config", str(cfg_path)]) == 1
+        assert open_fds() == fds
+        assert_no_child_left()
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("FAILED")]
+        assert failed == ["FAILED multi_scale seed=0: worker process died (killed by SIGKILL)"]
+        body = (tmp_path / "out" / "ablate" / "ablation.tsv").read_text().splitlines()[1:]
+        assert len(body) == 10  # 5 surviving variants x (seed row + mean row)
+        assert not any(r.startswith("multi_scale") for r in body)
+
+    def test_interrupt_stops_and_reaps_every_child(self, tmp_path, monkeypatch, in_child):
+        # the child blocks in its run until interrupted; this process is
+        # interrupted in job 0 once the child is in that run
+        hold_read, hold_write = os.pipe()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        in_child("multi_scale", lambda: os.read(hold_read, 1))
+        waiting_train = cli.train
+
+        def train(model_cfg, *args):
+            result = waiting_train(model_cfg, *args)
+            if model_cfg.variant == sorted(M.VARIANTS)[0]:
+                raise KeyboardInterrupt
+            return result
+        monkeypatch.setattr(cli, "train", train)
+        cfg_path = write_config(tmp_path, ablation=ONE_SEED)
+        fds = open_fds()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(["ablate", "--config", str(cfg_path)])
+            assert open_fds() == fds
+            assert_no_child_left()
+        finally:
+            os.close(hold_read)
+            os.close(hold_write)
+
+    def test_runs_in_this_process_beside_another_thread(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # a fork copies only the calling thread, so none is made
+        pids, real_train = [], cli.train
+
+        def train(*args):
+            pids.append(os.getpid())
+            return real_train(*args)
+        monkeypatch.setattr(cli, "train", train)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg_path = write_config(tmp_path, ablation=ONE_SEED)
+        done = threading.Event()
+        waiter = threading.Thread(target=done.wait)
+        waiter.start()
+        try:
+            assert cli.main(["ablate", "--config", str(cfg_path)]) == 0
+        finally:
+            done.set()
+            waiter.join()
+        assert pids == [os.getpid()] * len(M.VARIANTS)
 
 
 class TestCmdHeatmap:

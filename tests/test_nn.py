@@ -15,7 +15,7 @@ import pytest
 from castnet import nn
 from castnet import tensor as T
 from castnet.errors import ConfigError, InvalidRate, NumericalFailure, ShapeMismatch
-from castnet.seeding import _GAMMA, _MASK, _splitmix64, derive_seed
+from castnet.seeding import _GAMMA, _MASK, _splitmix64, counter_bits, derive_seed
 
 
 def conv2d_oracle(x, kernel, bias, stride, pad):
@@ -836,6 +836,27 @@ class TestDropout:
                   for i in range(16)]
         assert mask.tolist() == scalar
         assert "".join("1" if b else "0" for b in mask) == "1101010111000010"
+
+    def test_integer_threshold_equals_float_compare(self):
+        # the mask compares the 53 counter bits with ceil(rate * 2**53); it
+        # must keep exactly the entries whose uniform bits * 2**-53 >= rate,
+        # at seeded rates and one ulp either side of drawn k / 2**53
+        rng = np.random.default_rng(62)
+        seeds = [int(s) for s in rng.integers(0, 2 ** 63, 3, dtype=np.uint64)]
+        bits = counter_bits(np.array(seeds, dtype=np.uint64), 2048)
+        uniforms = bits.astype(np.float64) * 2.0 ** -53
+        rates = [0.0, 2.0 ** -53, np.nextafter(1.0, 0.0), *rng.uniform(0.0, 1.0, 40)]
+        for k in rng.choice(bits.reshape(-1), 40):
+            edge = float(k) * 2.0 ** -53
+            rates += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+        for rate in rates:
+            assert 0.0 <= rate < 1.0
+            mask = nn._keep_mask(seeds, (3, 2048), float(rate))
+            np.testing.assert_array_equal(mask, uniforms >= rate)
+        # the drawn edges are entries' own values: both sides of one show
+        edge = float(bits[0, 0]) * 2.0 ** -53
+        assert nn._keep_mask(seeds, (3, 2048), edge)[0, 0]
+        assert not nn._keep_mask(seeds, (3, 2048), float(np.nextafter(edge, 1.0)))[0, 0]
 
     @pytest.mark.parametrize("seed,error", [
         (-1, ConfigError),
